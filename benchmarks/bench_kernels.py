@@ -16,9 +16,9 @@ import time
 import numpy as np
 
 from photonstat import kernels
-from photonstat.classical import ClassicalMoments, _classical_factor_chunk
+from photonstat.classical import ClassicalMoments
 from photonstat.ensemble import off_axis_direction, random_cloud
-from photonstat.quantum import CorrelationOrder, _quantum_factor_chunk
+from photonstat.quantum import CorrelationOrder, _factor_chunk, _two_level_table
 from photonstat.states import ClassicalEmitterModel, pulse_state
 
 
@@ -28,7 +28,8 @@ def build_quantum_factors(nat, m):
     phases = np.exp(
         1j * 2.0 * math.pi * (cloud.positions @ np.tile(k, (2 * m, 1)).T)
     )
-    return _quantum_factor_chunk(pulse_state(2.0), phases, m, m)
+    table = _two_level_table(pulse_state(2.0), CorrelationOrder.equal(m))
+    return _factor_chunk(phases, m, m, table)
 
 
 def build_classical_factors(nat, m):
@@ -39,7 +40,7 @@ def build_classical_factors(nat, m):
     )
     model = ClassicalEmitterModel(e_coh=0.3, e_incoh=1.0)
     table = ClassicalMoments.build(model, CorrelationOrder.equal(m)).table
-    return _classical_factor_chunk(phases, m, m, table)
+    return _factor_chunk(phases, m, m, table)
 
 
 def time_backend(impl, factors, repeats):

@@ -3,9 +3,9 @@
 Each emitter radiates a fixed coherent amplitude plus an incoherent amplitude
 with an independent uniform random phase.  Phase averaging turns intensity
 moments into the combinatorial counts C_{j,N}; arbitrary-direction evaluation
-reuses the square-free product kernel with per-atom moment tables instead of
-the two-level nilpotent factors (a classical oscillator can serve any number
-of slots).
+runs the square-free product of ``quantum.multilinear_G`` with the classical
+moment table w(a, b) in place of the two-level moments (a classical
+oscillator can serve any number of slots).
 """
 
 from __future__ import annotations
@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .combinatorics import classical_count_C
 from .ensemble import Ensemble, phase_matrix
-from .errors import CapacityError, ZeroIntensityError
-from .quantum import DEFAULT_ORDER_CAP, CorrelationOrder, _as_directions
+from .errors import ZeroIntensityError
+from .quantum import DEFAULT_ORDER_CAP, CorrelationOrder, _as_directions, _product_G
 from .states import ClassicalEmitterModel
-
-_ATOM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -148,29 +145,6 @@ def classical_forward_g_unequal(
     return num / denom
 
 
-def _classical_factor_chunk(
-    ph_chunk: np.ndarray, m: int, n: int, table: np.ndarray
-) -> np.ndarray:
-    """Per-atom factors: w(|A n X|, |A n Y|) times the slot phase product."""
-    size = 1 << (m + n)
-    nloc = ph_chunk.shape[0]
-    prod = np.empty((nloc, size), dtype=complex)
-    prod[:, 0] = 1.0
-    for mask in range(1, size):
-        low = mask & (-mask)
-        i = low.bit_length() - 1
-        col = ph_chunk[:, i] if i < m else np.conj(ph_chunk[:, i])
-        prod[:, mask] = prod[:, mask ^ low] * col
-    minus_mask = (1 << m) - 1
-    for mask in range(size):
-        a = (mask & minus_mask).bit_count()
-        b = (mask >> m).bit_count()
-        w = table[a, b]
-        if mask and w != 1.0:
-            prod[:, mask] *= w
-    return prod
-
-
 def classical_exact_G(
     model: ClassicalEmitterModel,
     ensemble: Ensemble,
@@ -179,21 +153,8 @@ def classical_exact_G(
     cap: int = DEFAULT_ORDER_CAP,
 ) -> complex:
     """Exact phase-averaged G at arbitrary directions via the product kernel."""
-    s = order.total
-    if s > cap:
-        raise CapacityError(f"classical exact path capped at m + n <= {cap}, got {s}")
-    dirs = _as_directions(directions, s)
-    moments = ClassicalMoments.build(model, order)
-    kk = dirs.T
-    positions = ensemble.positions
-
-    def chunks():
-        for start in range(0, ensemble.n, _ATOM_CHUNK):
-            block = positions[start : start + _ATOM_CHUNK]
-            ph = np.exp(1j * 2.0 * math.pi * (block @ kk))
-            yield _classical_factor_chunk(ph, order.m, order.n, moments.table)
-
-    return kernels.squarefree_top_coefficient(chunks(), s)
+    table = ClassicalMoments.build(model, order).table
+    return _product_G(table, ensemble, order, directions, cap)
 
 
 @dataclass(frozen=True)

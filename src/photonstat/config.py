@@ -21,22 +21,14 @@ import numpy as np
 from .errors import ConfigError
 from .quantum import CorrelationOrder
 
-PRESETS = ("forward", "off-axis", "explicit")
 
-
-def _require(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    return cfg[key]
-
-
-def _as_positive_int(value, path: str) -> int:
+def _as_int(value, path: str, minimum: int = 1) -> int:
     try:
         out = int(value)
     except (TypeError, ValueError):
         raise ConfigError(path, f"expected integer, got {value!r}") from None
-    if out < 1:
-        raise ConfigError(path, f"must be >= 1, got {out}")
+    if out < minimum:
+        raise ConfigError(path, f"must be >= {minimum}, got {out}")
     return out
 
 
@@ -47,6 +39,17 @@ def _as_grid(value, path: str) -> list[float]:
         return [float(v) for v in value]
     except (TypeError, ValueError):
         raise ConfigError(path, "entries must be numbers") from None
+
+
+def _resolve_seed(cfg: dict, ens: dict) -> int:
+    """``ensemble.seed`` when given, else the top-level ``seed``, else 0."""
+    top = _as_int(cfg.get("seed") or 0, "seed", minimum=0)
+    if ens.get("seed") is None:
+        return top
+    seed = _as_int(ens["seed"], "ensemble.seed", minimum=0)
+    if cfg.get("seed") is not None and top != seed:
+        raise ConfigError("ensemble.seed", f"{seed} disagrees with the top-level seed {top}")
+    return seed
 
 
 @dataclass
@@ -87,7 +90,7 @@ class ScenarioConfig:
 
         ens = cfg.get("ensemble", {})
         if "positions" not in ens:
-            _as_positive_int(ens.get("n", 0) or 0, "ensemble.n")
+            _as_int(ens.get("n", 0) or 0, "ensemble.n")
 
         directions = cfg.get("directions", {"preset": "forward"})
         if "vectors" in directions:
@@ -112,17 +115,15 @@ class ScenarioConfig:
                 parsed_sweep[axis] = _as_grid(sweep[axis], f"sweep.{axis}")
         if "n_grid" in parsed_sweep:
             parsed_sweep["n_grid"] = [
-                _as_positive_int(v, "sweep.n_grid") for v in parsed_sweep["n_grid"]
+                _as_int(v, "sweep.n_grid") for v in parsed_sweep["n_grid"]
             ]
         state_axes = [a for a in ("r_grid", "theta_grid", "s_grid") if a in parsed_sweep]
         if len(state_axes) > 1:
             raise ConfigError("sweep", f"at most one state axis allowed, got {state_axes}")
 
-        realizations = _as_positive_int(cfg.get("realizations", 1), "realizations")
-        samples = int(cfg.get("samples", 0) or 0)
-        if samples < 0:
-            raise ConfigError("samples", "must be non-negative")
-        seed = int(cfg.get("seed", 0) or 0)
+        realizations = _as_int(cfg.get("realizations", 1), "realizations")
+        samples = _as_int(cfg.get("samples", 0) or 0, "samples", minimum=0)
+        seed = _resolve_seed(cfg, ens)
 
         return cls(
             state=state,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +52,7 @@ from .quantum import (
 )
 from .states import (
     ClassicalEmitterModel,
+    SingleAtomState,
     classical_model_from_config,
     classical_model_for_ratio,
     driven_steady_state,
@@ -74,24 +77,39 @@ def _angle_rng(seed: int, realization: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _resolve_directions(cfg: ScenarioConfig, realization: int) -> tuple[np.ndarray, str]:
-    total = cfg.order.total
-    if "vectors" in cfg.directions:
-        return np.asarray(cfg.directions["vectors"], dtype=float), "explicit"
-    preset = cfg.directions.get("preset", "forward")
-    if preset == "forward":
-        return np.zeros((total, 3)), "forward"
-    angle = cfg.directions.get("angle")
-    if angle is None:
-        angle = _angle_rng(cfg.seed, realization).uniform(0.0, 2.0 * math.pi)
-    return equal_directions(off_axis_direction(float(angle)), total), "off-axis"
+@dataclass
+class _Point:
+    """One sweep task: atom count, state-axis point and realization.
 
+    The ensemble and the directions are built on first access, so rows that
+    need no geometry build none.
+    """
 
-def _resolve_ensemble(cfg: ScenarioConfig, nat: int, realization: int) -> Ensemble:
-    if "positions" in cfg.ensemble:
-        return ensemble_from_config(cfg.ensemble)
-    distribution = cfg.ensemble.get("distribution", "uniform-cube")
-    return random_cloud(nat, cfg.seed, distribution, realization=realization)
+    cfg: ScenarioConfig
+    nat: int
+    axis: str
+    value: float | None
+    real: int
+
+    @cached_property
+    def ensemble(self) -> Ensemble:
+        if "positions" in self.cfg.ensemble:
+            return ensemble_from_config(self.cfg.ensemble)
+        distribution = self.cfg.ensemble.get("distribution", "uniform-cube")
+        return random_cloud(self.nat, self.cfg.seed, distribution, realization=self.real)
+
+    @cached_property
+    def directions(self) -> tuple[np.ndarray, str]:
+        """(vectors, preset label)."""
+        cfg, total = self.cfg, self.cfg.order.total
+        if "vectors" in cfg.directions:
+            return np.asarray(cfg.directions["vectors"], dtype=float), "explicit"
+        if cfg.directions.get("preset", "forward") == "forward":
+            return np.zeros((total, 3)), "forward"
+        angle = cfg.directions.get("angle")
+        if angle is None:
+            angle = _angle_rng(cfg.seed, self.real).uniform(0.0, 2.0 * math.pi)
+        return equal_directions(off_axis_direction(float(angle)), total), "off-axis"
 
 
 def _state_points(cfg: ScenarioConfig) -> list[tuple[str, float | None]]:
@@ -105,26 +123,81 @@ def _state_points(cfg: ScenarioConfig) -> list[tuple[str, float | None]]:
     return [("none", None)]
 
 
-def _quantum_state_at(cfg: ScenarioConfig, axis: str, value):
-    if axis == "none":
-        return state_from_config(cfg.state)
-    if axis == "theta":
-        return pulse_state(value)
-    if axis == "s":
-        return driven_steady_state(value)
-    if cfg.state.get("kind") == "driven":
-        if value <= 0.0:
-            raise ConfigError("sweep.r_grid", "driven states need R > 0")
-        return driven_steady_state(1.0 / value)
-    return pulse_state(pulse_area_for_ratio(value))
-
-
 def _n_grid(cfg: ScenarioConfig) -> list[int]:
     if "n_grid" in cfg.sweep:
         return [int(v) for v in cfg.sweep["n_grid"]]
     if "positions" in cfg.ensemble:
         return [len(cfg.ensemble["positions"])]
     return [int(cfg.ensemble["n"])]
+
+
+def _sweep(cfg: ScenarioConfig, columns, evaluate, threads: int = 1, realizations=None):
+    """One table row per (N, state point, realization), in that order.
+
+    ``evaluate(point, cells)`` fills the row's cells in place.  In tables
+    with a ``status`` column a ZeroIntensityError keeps the cells written so
+    far and marks the row ``dark-state``; finished rows are ``ok``.
+    """
+    table = ResultTable(columns=list(columns))
+    reals = cfg.realizations if realizations is None else realizations
+    tasks = [
+        (nat, axis, value, real)
+        for nat in _n_grid(cfg)
+        for axis, value in _state_points(cfg)
+        for real in range(reals)
+    ]
+
+    def run(task) -> dict:
+        point = _Point(cfg, *task)  # local, so its cloud is freed with the row
+        cells = {}
+        try:
+            evaluate(point, cells)
+            status = "ok"
+        except ZeroIntensityError:
+            if "status" not in table.columns:
+                raise
+            status = "dark-state"
+        if "status" in table.columns:
+            cells["status"] = status
+        return cells
+
+    for cells in _parallel_map(run, tasks, threads):
+        table.append(**cells)
+    return table
+
+
+def _quantum_state_at(cfg: ScenarioConfig, axis: str, value):
+    """(state, state_kind, state_param) at one point of the state axis."""
+    if axis == "theta":
+        return pulse_state(value), "pulse", value
+    if axis == "s":
+        return driven_steady_state(value), "driven", value
+    if axis == "none":
+        kind = cfg.state.get("kind", "pulse")
+        return state_from_config(cfg.state), kind, cfg.state.get("theta", cfg.state.get("s"))
+    kind = "driven" if cfg.state.get("kind") == "driven" else "pulse"
+    return _state_for_ratio(kind, value), kind, value
+
+
+def _state_for_ratio(kind: str, r: float) -> SingleAtomState:
+    """The driven or pulse-excited state with coherence ratio R."""
+    if kind != "driven":
+        return pulse_state(pulse_area_for_ratio(r))
+    if r <= 0.0:
+        raise ConfigError("sweep.r_grid", "driven states need R > 0")
+    return driven_steady_state(1.0 / r)
+
+
+def _quantum_row(cfg: ScenarioConfig, point: _Point, cells: dict):
+    """Write the label cells of a correlate or deviation row; return (state, dirs)."""
+    state, kind, param = _quantum_state_at(cfg, point.axis, point.value)
+    dirs, preset = point.directions
+    cells.update(
+        n_atoms=point.nat, m=cfg.order.m, n=cfg.order.n, state_kind=kind,
+        state_param=param, ratio=state.ratio, preset=preset, seed=cfg.seed,
+        realization=point.real,
+    )
+    return state, dirs
 
 
 CORRELATE_COLUMNS = [
@@ -141,39 +214,14 @@ def run_correlate(cfg: ScenarioConfig, validate: bool = False, threads: int = 1)
     wherever its tuple guard allows and the summary carries the maximum
     relative discrepancy.
     """
-    table = ResultTable(columns=list(CORRELATE_COLUMNS))
     order = cfg.order
-    tasks = []
-    for nat in _n_grid(cfg):
-        for axis, value in _state_points(cfg):
-            for real in range(cfg.realizations):
-                tasks.append((nat, axis, value, real))
 
-    def evaluate(task):
-        nat, axis, value, real = task
-        ensemble = _resolve_ensemble(cfg, nat, real)
-        dirs, preset = _resolve_directions(cfg, real)
-        state = _quantum_state_at(cfg, axis, value)
-        if axis == "theta":
-            kind = "pulse"
-        elif axis == "s":
-            kind = "driven"
-        else:
-            kind = cfg.state.get("kind", "pulse")
-        cells = {
-            "n_atoms": nat, "m": order.m, "n": order.n,
-            "state_kind": kind,
-            "state_param": value if axis != "none" else cfg.state.get("theta", cfg.state.get("s")),
-            "ratio": state.ratio, "preset": preset, "seed": cfg.seed,
-            "realization": real,
-        }
-        try:
-            result = correlate(state, ensemble, order, dirs)
-        except ZeroIntensityError:
-            cells.update(status="dark-state", method="")
-            return cells
+    def evaluate(point: _Point, cells: dict) -> None:
+        state, dirs = _quantum_row(cfg, point, cells)
+        ensemble = point.ensemble
+        result = correlate(state, ensemble, order, dirs)
         cells.update(
-            status="ok", method=result.method,
+            method=result.method,
             g_re=result.value.real, g_im=result.value.imag, g_abs=abs(result.value),
         )
         if validate and ensemble.n**order.total <= ORACLE_VALIDATE_GUARD:
@@ -186,10 +234,8 @@ def run_correlate(cfg: ScenarioConfig, validate: bool = False, threads: int = 1)
                 oracle_im=oracle_value.imag,
                 rel_discrepancy=abs(oracle_value - result.value) / denom,
             )
-        return cells
 
-    for cells in _parallel_map(evaluate, tasks, threads):
-        table.append(**cells)
+    table = _sweep(cfg, CORRELATE_COLUMNS, evaluate, threads)
     discrepancies = [v for v in table.column("rel_discrepancy") if v is not None]
     summary = {"max_rel_discrepancy": max(discrepancies) if discrepancies else None}
     return table, summary
@@ -198,7 +244,7 @@ def run_correlate(cfg: ScenarioConfig, validate: bool = False, threads: int = 1)
 CLASSICAL_COLUMNS = [
     "n_atoms", "m", "n", "e_coh_re", "e_coh_im", "e_incoh", "ratio", "preset",
     "method", "seed", "realization", "g_re", "g_im", "g_abs",
-    "mc_re", "mc_im", "mc_se", "samples", "batches",
+    "mc_re", "mc_im", "mc_se", "samples", "batches", "status",
 ]
 
 
@@ -217,60 +263,43 @@ def _classical_model_at(cfg: ScenarioConfig, axis: str, value) -> ClassicalEmitt
 
 def run_classical(cfg: ScenarioConfig, threads: int = 1):
     """Classical g^(m,n) over the grid, with optional phase-sampling MC."""
-    table = ResultTable(columns=list(CLASSICAL_COLUMNS))
     order = cfg.order
-    tasks = []
-    for nat in _n_grid(cfg):
-        for axis, value in _state_points(cfg):
-            for real in range(cfg.realizations):
-                tasks.append((nat, axis, value, real))
 
-    def evaluate(task):
-        nat, axis, value, real = task
-        model = _classical_model_at(cfg, axis, value)
-        ensemble = _resolve_ensemble(cfg, nat, real)
-        dirs, preset = _resolve_directions(cfg, real)
-        forward = not np.any(dirs)
-        if forward:
+    def evaluate(point: _Point, cells: dict) -> None:
+        model = _classical_model_at(cfg, point.axis, point.value)
+        dirs, preset = point.directions
+        cells.update(
+            n_atoms=point.nat, m=order.m, n=order.n,
+            e_coh_re=model.e_coh.real, e_coh_im=model.e_coh.imag,
+            e_incoh=model.e_incoh, ratio=model.ratio, preset=preset,
+            seed=cfg.seed, realization=point.real,
+        )
+        if not np.any(dirs):
             if order.equal_order:
-                g = complex(classical_forward_g(model, nat, order.m))
+                g = complex(classical_forward_g(model, point.nat, order.m))
             elif order.m > order.n:
-                g = classical_forward_g_unequal(model, nat, order.m, order.n)
+                g = classical_forward_g_unequal(model, point.nat, order.m, order.n)
             else:
-                g = classical_forward_g_unequal(model, nat, order.n, order.m).conjugate()
+                g = classical_forward_g_unequal(model, point.nat, order.n, order.m).conjugate()
             method = "classical-forward"
+            norm = classical_intensity(model, point.nat) ** (0.5 * order.total)
         else:
-            raw = classical_exact_G(model, ensemble, order, dirs)
-            ints = [classical_intensity_at(model, ensemble, k) for k in dirs]
+            raw = classical_exact_G(model, point.ensemble, order, dirs)
+            ints = [classical_intensity_at(model, point.ensemble, k) for k in dirs]
             g = normalize(raw, ints)
             method = "classical-exact"
-        cells = {
-            "n_atoms": nat, "m": order.m, "n": order.n,
-            "e_coh_re": model.e_coh.real, "e_coh_im": model.e_coh.imag,
-            "e_incoh": model.e_incoh, "ratio": model.ratio, "preset": preset,
-            "method": method, "seed": cfg.seed, "realization": real,
-            "g_re": g.real, "g_im": g.imag, "g_abs": abs(g),
-        }
+            norm = math.prod(math.sqrt(v) for v in ints)
+        cells.update(method=method, g_re=g.real, g_im=g.imag, g_abs=abs(g))
         if cfg.samples:
             mc = classical_mc_G(
-                model, ensemble, order, dirs, samples=cfg.samples, seed=cfg.seed
-            )
-            norm = (
-                classical_intensity(model, nat) ** (0.5 * order.total)
-                if forward
-                else math.prod(
-                    math.sqrt(classical_intensity_at(model, ensemble, k)) for k in dirs
-                )
+                model, point.ensemble, order, dirs, samples=cfg.samples, seed=cfg.seed
             )
             cells.update(
                 mc_re=mc.estimate.real / norm, mc_im=mc.estimate.imag / norm,
                 mc_se=mc.std_error / norm, samples=mc.samples, batches=mc.batches,
             )
-        return cells
 
-    for cells in _parallel_map(evaluate, tasks, threads):
-        table.append(**cells)
-    return table, {}
+    return _sweep(cfg, CLASSICAL_COLUMNS, evaluate, threads), {}
 
 
 DEVIATION_COLUMNS = [
@@ -279,49 +308,34 @@ DEVIATION_COLUMNS = [
     "delta_total_re", "delta_total_im", "delta_n_re", "delta_n_im",
     "delta_coh_re", "delta_coh_im", "epsilon",
     "finite_n_ratio", "spin_quadratic_ratio", "spin_linear_ratio",
-    "spin_sqrt_ratio", "flagged",
+    "spin_sqrt_ratio", "flagged", "status",
 ]
 
 
 def run_deviation(cfg: ScenarioConfig, threads: int = 1):
     """Deviation decomposition over the grid."""
-    table = ResultTable(columns=list(DEVIATION_COLUMNS))
     order = cfg.order
-    tasks = []
-    for nat in _n_grid(cfg):
-        for axis, value in _state_points(cfg):
-            for real in range(cfg.realizations):
-                tasks.append((nat, axis, value, real))
 
-    def evaluate(task):
-        nat, axis, value, real = task
-        ensemble = _resolve_ensemble(cfg, nat, real)
-        dirs, preset = _resolve_directions(cfg, real)
-        state = _quantum_state_at(cfg, axis, value)
-        report = deviation(state, ensemble, order, dirs)
+    def evaluate(point: _Point, cells: dict) -> None:
+        state, dirs = _quantum_row(cfg, point, cells)
+        report = deviation(state, point.ensemble, order, dirs)
         margins = {m.name: m.ratio for m in report.conditions.margins}
-        return {
-            "n_atoms": nat, "m": order.m, "n": order.n,
-            "state_kind": cfg.state.get("kind", "pulse"),
-            "state_param": value, "ratio": state.ratio, "preset": preset,
-            "seed": cfg.seed, "realization": real,
-            "g_exact_re": report.g_exact.real, "g_exact_im": report.g_exact.imag,
-            "g_gmt_re": report.g_gmt.real, "g_gmt_im": report.g_gmt.imag,
-            "delta_total_re": report.delta_total.real,
-            "delta_total_im": report.delta_total.imag,
-            "delta_n_re": report.delta_n.real, "delta_n_im": report.delta_n.imag,
-            "delta_coh_re": report.delta_coh.real, "delta_coh_im": report.delta_coh.imag,
-            "epsilon": report.epsilon,
-            "finite_n_ratio": margins.get("finite_n"),
-            "spin_quadratic_ratio": margins.get("spin_coherence_quadratic"),
-            "spin_linear_ratio": margins.get("spin_coherence_linear"),
-            "spin_sqrt_ratio": margins.get("spin_coherence_sqrt"),
-            "flagged": report.conditions.flagged(),
-        }
+        cells.update(
+            g_exact_re=report.g_exact.real, g_exact_im=report.g_exact.imag,
+            g_gmt_re=report.g_gmt.real, g_gmt_im=report.g_gmt.imag,
+            delta_total_re=report.delta_total.real,
+            delta_total_im=report.delta_total.imag,
+            delta_n_re=report.delta_n.real, delta_n_im=report.delta_n.imag,
+            delta_coh_re=report.delta_coh.real, delta_coh_im=report.delta_coh.imag,
+            epsilon=report.epsilon,
+            finite_n_ratio=margins.get("finite_n"),
+            spin_quadratic_ratio=margins.get("spin_coherence_quadratic"),
+            spin_linear_ratio=margins.get("spin_coherence_linear"),
+            spin_sqrt_ratio=margins.get("spin_coherence_sqrt"),
+            flagged=report.conditions.flagged(),
+        )
 
-    for cells in _parallel_map(evaluate, tasks, threads):
-        table.append(**cells)
-    return table, {}
+    return _sweep(cfg, DEVIATION_COLUMNS, evaluate, threads), {}
 
 
 CONDITIONS_COLUMNS = [
@@ -336,27 +350,26 @@ CONDITIONS_COLUMNS = [
 
 def run_conditions(cfg: ScenarioConfig, threads: int = 1):
     """Admissibility-condition margins over the sweep."""
-    table = ResultTable(columns=list(CONDITIONS_COLUMNS))
     order = cfg.order
-    for nat in _n_grid(cfg):
-        for axis, value in _state_points(cfg):
-            if axis == "r":
-                ratio = float(value)
-            else:
-                ratio = _quantum_state_at(cfg, axis, value).ratio
-            report = check_conditions(ratio, nat, order)
-            cells = {
-                "n_atoms": nat, "m": order.m, "n": order.n, "ratio": ratio,
-                "flagged": report.flagged(),
-                "note": "g=0 short-circuit: m > N" if order.x > nat else "",
-            }
-            for margin in report.margins:
-                key = margin.name.replace("spin_coherence", "spin")
-                cells[f"{key}_lhs"] = margin.lhs
-                cells[f"{key}_rhs"] = margin.rhs
-                cells[f"{key}_ratio"] = margin.ratio
-            table.append(**cells)
-    return table, {}
+
+    def evaluate(point: _Point, cells: dict) -> None:
+        ratio = (
+            float(point.value) if point.axis == "r"
+            else _quantum_state_at(cfg, point.axis, point.value)[0].ratio
+        )
+        report = check_conditions(ratio, point.nat, order)
+        cells.update(
+            n_atoms=point.nat, m=order.m, n=order.n, ratio=ratio,
+            flagged=report.flagged(),
+            note="g=0 short-circuit: m > N" if order.x > point.nat else "",
+        )
+        for margin in report.margins:
+            key = margin.name.replace("spin_coherence", "spin")
+            cells[f"{key}_lhs"] = margin.lhs
+            cells[f"{key}_rhs"] = margin.rhs
+            cells[f"{key}_ratio"] = margin.ratio
+
+    return _sweep(cfg, CONDITIONS_COLUMNS, evaluate, threads, realizations=1), {}
 
 
 def fig3_deviation_matrix(
@@ -393,11 +406,7 @@ def fig3_deviation_matrix(
             for i, m in enumerate(m_values):
                 order = CorrelationOrder.equal(m)
                 for j, r in enumerate(r_values):
-                    state = (
-                        driven_steady_state(1.0 / r)
-                        if state_kind == "driven"
-                        else pulse_state(pulse_area_for_ratio(r))
-                    )
+                    state = _state_for_ratio(state_kind, r)
                     out[i, j] += deviation_coh_equal_directions(state, cloud, order, k)
         return out / directions_per_realization
 

@@ -343,11 +343,6 @@ def deviation_coh_equal_directions(
     return g_zeroed - g_full
 
 
-def fig2_curve(nat: int, m: int, r_values) -> list[float]:
-    """|delta_coh(0)| over an R grid via the cancellation-free forward path."""
-    return [abs(deviation_coh_forward_ratio(nat, m, r)) for r in r_values]
-
-
 def locate_crossover(nat: int, m: int, r_lo: float = None, r_hi: float = None) -> float:
     """R where the local log-log slope of |delta_coh(0)| passes 1.5.
 

@@ -2,7 +2,7 @@
 
 The compiled extension is preferred; the pure-Python implementation is the
 fallback when the extension was not built.  Set PHOTONSTAT_PURE_PYTHON=1 to
-force the fallback (used by the agreement tests and the benchmark).
+force the fallback.
 """
 
 from __future__ import annotations

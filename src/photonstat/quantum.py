@@ -219,25 +219,60 @@ def oracle_G(
     return acc.total()
 
 
-def _quantum_factor_chunk(
-    state: SingleAtomState, ph_chunk: np.ndarray, m: int, n: int
-) -> np.ndarray:
-    """Per-atom factor polynomials 1 + sum a x_i + sum b y_j + sum c x_i y_j."""
-    size = 1 << (m + n)
-    out = np.zeros((ph_chunk.shape[0], size), dtype=complex)
-    out[:, 0] = 1.0
-    cplus = state.coherence_plus
-    cminus = state.coherence
-    pop = state.population
-    for i in range(m):
-        out[:, 1 << i] = cplus * ph_chunk[:, i]
-    for j in range(m, m + n):
-        out[:, 1 << j] = cminus * np.conj(ph_chunk[:, j])
-    for i in range(m):
-        col = ph_chunk[:, i]
-        for j in range(m, m + n):
-            out[:, (1 << i) | (1 << j)] = pop * col * np.conj(ph_chunk[:, j])
+def _factor_chunk(ph_chunk: np.ndarray, m: int, n: int, table: np.ndarray) -> np.ndarray:
+    """Per-atom factor polynomials from a single-emitter moment table.
+
+    Column ``mask`` is w(a, b) times the slot phase columns of ``mask`` in
+    ascending slot order, where a and b count the minus and plus slots in
+    ``mask``; minus slot i carries exp(+2 pi i k_i . R), plus slot j its
+    conjugate.  Masks with w(a, b) = 0 stay zero.
+    """
+    s = m + n
+    cols = [ph_chunk[:, i] if i < m else np.conj(ph_chunk[:, i]) for i in range(s)]
+    out = np.zeros((ph_chunk.shape[0], 1 << s), dtype=complex)
+    minus = (1 << m) - 1
+    for mask in range(1 << s):
+        w = table[(mask & minus).bit_count(), (mask >> m).bit_count()]
+        if w != 0:
+            col = np.full(ph_chunk.shape[0], w)
+            for i in range(s):
+                if mask >> i & 1:
+                    col *= cols[i]
+            out[:, mask] = col
     return out
+
+
+def _two_level_table(state: SingleAtomState, order: CorrelationOrder) -> np.ndarray:
+    """w(a, b) of a two-level atom: 1, <s+>, <s->, <s+ s->, zero for a or b > 1."""
+    moments = np.array(
+        [[1.0, state.coherence], [state.coherence_plus, state.population]], dtype=complex
+    )
+    table = np.zeros((order.m + 1, order.n + 1), dtype=complex)
+    table[:2, :2] = moments[: order.m + 1, : order.n + 1]
+    return table
+
+
+def _product_G(
+    table: np.ndarray, ensemble: Ensemble, order: CorrelationOrder, directions, cap: int
+) -> complex:
+    """All-markers coefficient of the atom product with factors from ``table``.
+
+    ``table[a, b]`` is the single-emitter moment with a minus and b plus
+    slots on one atom; the atom factors are built chunk by chunk.
+    """
+    s = order.total
+    if s > cap:
+        raise CapacityError(f"multilinear path capped at m + n <= {cap}, got {s}")
+    kk = _as_directions(directions, s).T  # (3, s)
+    positions = ensemble.positions
+
+    def chunks():
+        for start in range(0, ensemble.n, _ATOM_CHUNK):
+            block = positions[start : start + _ATOM_CHUNK]
+            ph = np.exp(1j * 2.0 * math.pi * (block @ kk))
+            yield _factor_chunk(ph, order.m, order.n, table)
+
+    return kernels.squarefree_top_coefficient(chunks(), s)
 
 
 def multilinear_G(
@@ -252,20 +287,7 @@ def multilinear_G(
     Equivalent to ``oracle_G`` term by term, at cost O(N 4^(m+n)) instead of
     O(N^(m+n)).
     """
-    s = order.total
-    if s > cap:
-        raise CapacityError(f"multilinear path capped at m + n <= {cap}, got {s}")
-    dirs = _as_directions(directions, s)
-    kk = dirs.T  # (3, s)
-    positions = ensemble.positions
-
-    def chunks():
-        for start in range(0, ensemble.n, _ATOM_CHUNK):
-            block = positions[start : start + _ATOM_CHUNK]
-            ph = np.exp(1j * 2.0 * math.pi * (block @ kk))
-            yield _quantum_factor_chunk(state, ph, order.m, order.n)
-
-    return kernels.squarefree_top_coefficient(chunks(), s)
+    return _product_G(_two_level_table(state, order), ensemble, order, directions, cap)
 
 
 def _forward_equal_a(nat: int, m: int) -> list[int]:

@@ -1,5 +1,6 @@
 """Config validation, sweep runners, CSV contracts, CLI exit codes."""
 
+import csv
 import json
 import math
 
@@ -16,6 +17,11 @@ from photonstat.figures import (
     run_deviation,
     run_figure,
 )
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -67,6 +73,18 @@ class TestScenarioConfig:
         bad = dict(BASE, realizations=0)
         with pytest.raises(ConfigError, match="realizations"):
             ScenarioConfig.from_dict(bad)
+
+    def test_ensemble_seed_used(self):
+        assert ScenarioConfig.from_dict(dict(BASE)).seed == 1
+        assert ScenarioConfig.from_dict(dict(BASE, ensemble={"n": 4}, seed=5)).seed == 5
+        assert ScenarioConfig.from_dict(dict(BASE, ensemble={"n": 4})).seed == 0
+
+    def test_equal_seeds_accepted(self):
+        assert ScenarioConfig.from_dict(dict(BASE, seed=1)).seed == 1
+
+    def test_conflicting_seeds_rejected(self):
+        with pytest.raises(ConfigError, match="ensemble.seed"):
+            ScenarioConfig.from_dict(dict(BASE, seed=2))
 
 
 class TestResultTable:
@@ -292,6 +310,92 @@ class TestCliProcess:
         out = tmp_path / "cond.csv"
         assert main(["conditions", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_ensemble_seed_changes_output(self, tmp_path):
+        outs = []
+        for seed in (1, 2):
+            payload = dict(
+                BASE,
+                state={"kind": "pulse", "theta": 1.2},
+                ensemble={"n": 6, "seed": seed},
+                directions={"preset": "off-axis", "angle": 0.3},
+            )
+            cfg = write_config(tmp_path, payload, f"s{seed}.json")
+            out = tmp_path / f"s{seed}.csv"
+            assert main(["correlate", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] != outs[1]
+
+    def test_seed_flag_overrides_both(self, tmp_path):
+        payload = dict(BASE, ensemble={"n": 6, "seed": 3}, seed=3)
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["correlate", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert row["seed"] == "9"
+
+    def test_conflicting_seeds_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(BASE, seed=8))
+        assert main(["correlate", "--config", str(cfg)]) == 2
+        assert "ensemble.seed" in capsys.readouterr().err
+
+    def test_deviation_dark_state_rows(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            dict(BASE, ensemble={"n": 20, "seed": 0}, sweep={"theta_grid": [0.0, 1.0, math.pi]}),
+        )
+        out = tmp_path / "dev.csv"
+        assert main(["deviation", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [row["status"] for row in rows] == ["dark-state", "ok", "ok"]
+        assert rows[0]["state_kind"] == "pulse"
+        assert rows[0]["g_exact_re"] == ""
+        assert float(rows[2]["delta_total_re"]) == pytest.approx(2.0 / 20, rel=1e-9)
+
+    @pytest.mark.parametrize("preset", ["forward", "off-axis"])
+    def test_classical_dark_state_rows(self, tmp_path, preset):
+        cfg = write_config(
+            tmp_path,
+            dict(
+                BASE,
+                state={"kind": "classical", "e_coh_re": 0.0, "e_incoh": 0.0},
+                directions={"preset": preset},
+                sweep={"n_grid": [3, 5]},
+                samples=100,
+            ),
+        )
+        out = tmp_path / "cl.csv"
+        assert main(["classical", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [row["n_atoms"] for row in rows] == ["3", "5"]
+        assert [row["status"] for row in rows] == ["dark-state"] * 2
+        assert all(row["g_re"] == "" for row in rows)
+
+    def test_deviation_s_grid_labelled_driven(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            dict(BASE, ensemble={"n": 20, "seed": 0}, sweep={"s_grid": [0.5, 2.0]}),
+        )
+        for command in ("deviation", "correlate"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            rows = read_csv(out)
+            assert [row["state_kind"] for row in rows] == ["driven", "driven"]
+            assert [float(row["state_param"]) for row in rows] == [0.5, 2.0]
+
+    def test_r_grid_labelled_by_evaluated_state(self, tmp_path):
+        payload = dict(
+            BASE,
+            state={"kind": "moments", "p": 0.5, "c_re": 0.1},
+            ensemble={"n": 20, "seed": 0},
+            sweep={"r_grid": [0.1]},
+        )
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "dev.csv"
+        assert main(["deviation", "--config", str(cfg), "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert row["state_kind"] == "pulse"
+        assert float(row["ratio"]) == pytest.approx(0.1, rel=1e-12)
 
     def test_classical_cli(self, tmp_path):
         cfg = write_config(

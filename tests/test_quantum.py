@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from photonstat.classical import classical_exact_G
 from photonstat.ensemble import Ensemble, forward_directions, random_cloud, structure_factor
 from photonstat.errors import CapacityError, ZeroIntensityError
 from photonstat.quantum import (
@@ -22,7 +23,7 @@ from photonstat.quantum import (
     normalize,
     oracle_G,
 )
-from photonstat.states import pulse_state, state_from_moments
+from photonstat.states import ClassicalEmitterModel, pulse_state, state_from_moments
 
 
 def random_state(rng):
@@ -128,10 +129,15 @@ class TestMultilinear:
         ens = random_cloud(50, seed=4)
         st = random_state(rng)
         dirs = rng.normal(size=(4, 3))
+        model = ClassicalEmitterModel(e_coh=0.4 - 0.2j, e_incoh=1.0)
+        order = CorrelationOrder(2, 1)
         full = multilinear_G(st, ens, CorrelationOrder.equal(2), dirs)
+        full_classical = classical_exact_G(model, ens, order, dirs[:3])
         monkeypatch.setattr(quantum, "_ATOM_CHUNK", 7)
         chunked = multilinear_G(st, ens, CorrelationOrder.equal(2), dirs)
         assert chunked == pytest.approx(full, rel=1e-12)
+        chunked_classical = classical_exact_G(model, ens, order, dirs[:3])
+        assert chunked_classical == pytest.approx(full_classical, rel=1e-12)
 
 
 class TestForwardClosedForms:
