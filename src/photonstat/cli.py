@@ -8,10 +8,11 @@ validation failure under --validate.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
-from .config import ResultTable, ScenarioConfig, Stopwatch, write_sidecar
+from .config import ResultTable, ScenarioConfig, Stopwatch, load_json, write_sidecar
 from .errors import CapacityError, ConfigError, ValidationFailure
 from .figures import (
     FIGURE_DEFAULTS,
@@ -41,7 +42,9 @@ def _add_common(parser: argparse.ArgumentParser, needs_config: bool):
     parser.add_argument("--threads", type=int, default=1, help="worker threads")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="photonstat",
         description="Photon correlation functions and Gaussian-moment-theorem deviations",
@@ -75,13 +78,12 @@ def _emit(table: ResultTable, summary: dict, out: Path, config_echo: dict, elaps
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {args.seed}")
         if args.command == "figure":
-            overrides = {}
-            if args.config is not None:
-                import json
-
-                with open(args.config) as fh:
-                    overrides = json.load(fh)
+            overrides = {} if args.config is None else load_json(args.config)
+            if not isinstance(overrides, dict):
+                raise ConfigError("config", "figure overrides must be a JSON object")
             seed = args.seed if args.seed is not None else 7
             with Stopwatch() as clock:
                 table, summary = run_figure(

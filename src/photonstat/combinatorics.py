@@ -166,6 +166,11 @@ def falling_factorial(n: int, m: int) -> int:
     return math.perm(n, m)
 
 
+def binomial(n: int, k: int) -> int:
+    """C(n, k); zero outside 0 <= k <= n, including for negative n."""
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
 def tuple_count_unrestricted(n: int, m: int) -> int:
     """Number of unrestricted index m-tuples over N atoms: N^m."""
     return n**m

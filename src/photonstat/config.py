@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .quantum import CorrelationOrder
+from .states import classical_model_from_config, state_from_config
 
 
-def _as_int(value, path: str, minimum: int = 1) -> int:
+def as_int(value, path: str, minimum: int = 1) -> int:
     try:
         out = int(value)
     except (TypeError, ValueError):
@@ -32,7 +33,7 @@ def _as_int(value, path: str, minimum: int = 1) -> int:
     return out
 
 
-def _as_grid(value, path: str) -> list[float]:
+def as_grid(value, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise ConfigError(path, "must be a non-empty list")
     try:
@@ -41,12 +42,20 @@ def _as_grid(value, path: str) -> list[float]:
         raise ConfigError(path, "entries must be numbers") from None
 
 
+# Values each state axis admits: pulse areas, saturation parameters, ratios.
+_STATE_AXIS_RANGES = {
+    "theta_grid": (lambda v: 0.0 <= v <= math.pi, "in [0, pi]"),
+    "s_grid": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "r_grid": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+}
+
+
 def _resolve_seed(cfg: dict, ens: dict) -> int:
     """``ensemble.seed`` when given, else the top-level ``seed``, else 0."""
-    top = _as_int(cfg.get("seed") or 0, "seed", minimum=0)
+    top = as_int(cfg.get("seed") or 0, "seed", minimum=0)
     if ens.get("seed") is None:
         return top
-    seed = _as_int(ens["seed"], "ensemble.seed", minimum=0)
+    seed = as_int(ens["seed"], "ensemble.seed", minimum=0)
     if cfg.get("seed") is not None and top != seed:
         raise ConfigError("ensemble.seed", f"{seed} disagrees with the top-level seed {top}")
     return seed
@@ -87,10 +96,15 @@ class ScenarioConfig:
             raise ConfigError("state.s", "missing required field")
         if kind == "classical" and "e_incoh" not in state:
             raise ConfigError("state.e_incoh", "missing required field")
+        build = classical_model_from_config if kind == "classical" else state_from_config
+        try:
+            build(state)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("state", str(exc)) from None
 
         ens = cfg.get("ensemble", {})
         if "positions" not in ens:
-            _as_int(ens.get("n", 0) or 0, "ensemble.n")
+            as_int(ens.get("n", 0) or 0, "ensemble.n")
 
         directions = cfg.get("directions", {"preset": "forward"})
         if "vectors" in directions:
@@ -112,17 +126,21 @@ class ScenarioConfig:
         parsed_sweep: dict[str, list[float]] = {}
         for axis in ("n_grid", "r_grid", "theta_grid", "s_grid"):
             if axis in sweep:
-                parsed_sweep[axis] = _as_grid(sweep[axis], f"sweep.{axis}")
+                parsed_sweep[axis] = as_grid(sweep[axis], f"sweep.{axis}")
         if "n_grid" in parsed_sweep:
             parsed_sweep["n_grid"] = [
-                _as_int(v, "sweep.n_grid") for v in parsed_sweep["n_grid"]
+                as_int(v, "sweep.n_grid") for v in parsed_sweep["n_grid"]
             ]
+        for axis, (ok, bound) in _STATE_AXIS_RANGES.items():
+            for v in parsed_sweep.get(axis, ()):
+                if not ok(v):
+                    raise ConfigError(f"sweep.{axis}", f"entries must be {bound}, got {v!r}")
         state_axes = [a for a in ("r_grid", "theta_grid", "s_grid") if a in parsed_sweep]
         if len(state_axes) > 1:
             raise ConfigError("sweep", f"at most one state axis allowed, got {state_axes}")
 
-        realizations = _as_int(cfg.get("realizations", 1), "realizations")
-        samples = _as_int(cfg.get("samples", 0) or 0, "samples", minimum=0)
+        realizations = as_int(cfg.get("realizations", 1), "realizations")
+        samples = as_int(cfg.get("samples", 0) or 0, "samples", minimum=0)
         seed = _resolve_seed(cfg, ens)
 
         return cls(
@@ -139,14 +157,18 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        try:
-            with open(path) as fh:
-                cfg = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError("config", f"file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}") from None
-        return cls.from_dict(cfg)
+        return cls.from_dict(load_json(path))
+
+
+def load_json(path):
+    """Parsed JSON file; a missing or malformed file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError("config", f"file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError("config", f"invalid JSON: {exc}") from None
 
 
 def format_cell(value: Any) -> str:

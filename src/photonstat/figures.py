@@ -24,7 +24,7 @@ from .classical import (
     classical_intensity_at,
     classical_mc_G,
 )
-from .config import ResultTable, ScenarioConfig
+from .config import ResultTable, ScenarioConfig, as_grid, as_int
 from .ensemble import (
     Ensemble,
     ensemble_from_config,
@@ -37,11 +37,12 @@ from .gmt import (
     check_conditions,
     crossover_ratio,
     deviation,
-    deviation_coh_equal_directions,
+    deviation_coh_autocorrelation,
     leading_unequal,
 )
 from .quantum import (
     CorrelationOrder,
+    autocorrelation_sums,
     correlate,
     deviation_coh_forward_ratio,
     forward_g_equal_ratio,
@@ -174,6 +175,8 @@ def _quantum_state_at(cfg: ScenarioConfig, axis: str, value):
         return driven_steady_state(value), "driven", value
     if axis == "none":
         kind = cfg.state.get("kind", "pulse")
+        if kind == "classical":
+            raise ConfigError("state.kind", "classical models need the classical subcommand")
         return state_from_config(cfg.state), kind, cfg.state.get("theta", cfg.state.get("s"))
     kind = "driven" if cfg.state.get("kind") == "driven" else "pulse"
     return _state_for_ratio(kind, value), kind, value
@@ -386,28 +389,28 @@ def fig3_deviation_matrix(
     """Disorder-averaged off-axis spin-coherence deviations.
 
     Each realization draws a fresh cloud plus random transverse observation
-    directions; the deviation is evaluated at every (m, R) on the same cloud
-    and averaged over the realization's directions.  More directions per
-    cloud reduce the estimator variance without changing the estimand (the
-    speckle variate decorrelates between well-separated directions).
+    directions; the power sums of each (cloud, direction) serve every (m, R)
+    cell, and the deviations are averaged over the realization's directions.
+    More directions per cloud reduce the estimator variance without changing
+    the estimand (the speckle variate decorrelates between well-separated
+    directions).
     Returns (means, sems) of shape (len(m), len(R)): the complex mean over
     realizations and its standard error.
     """
-    r_values = list(r_values)
+    states = [_state_for_ratio(state_kind, r) for r in r_values]
+    m_max = max(m_values)
 
     def one_realization(real: int) -> np.ndarray:
         cloud = random_cloud(nat, seed, distribution, realization=real)
         angles = _angle_rng(seed, real).uniform(
             0.0, 2.0 * math.pi, size=directions_per_realization
         )
-        out = np.zeros((len(m_values), len(r_values)), dtype=complex)
+        out = np.zeros((len(m_values), len(states)), dtype=complex)
         for angle in angles:
-            k = off_axis_direction(angle)
+            sums = autocorrelation_sums(cloud, off_axis_direction(angle), m_max)
             for i, m in enumerate(m_values):
-                order = CorrelationOrder.equal(m)
-                for j, r in enumerate(r_values):
-                    state = _state_for_ratio(state_kind, r)
-                    out[i, j] += deviation_coh_equal_directions(state, cloud, order, k)
+                for j, state in enumerate(states):
+                    out[i, j] += deviation_coh_autocorrelation(state, sums, m)
         return out / directions_per_realization
 
     stacked = np.stack(_parallel_map(one_realization, range(realizations), threads))
@@ -444,6 +447,26 @@ FIGURE_DEFAULTS = {
 }
 
 
+def _figure_params(figure_id: str, overrides: dict | None, realizations) -> dict:
+    """The defaults with ``overrides`` merged in, every value range-checked."""
+    if figure_id not in FIGURE_DEFAULTS:
+        raise ConfigError("figure", f"unknown figure id {figure_id!r}")
+    params = dict(FIGURE_DEFAULTS[figure_id])
+    params.update(overrides or {})
+    if realizations is not None:
+        params["realizations"] = realizations
+    for key in ("n_grid", "m_values"):
+        if key in params:
+            params[key] = [as_int(v, key) for v in as_grid(params[key], key)]
+    for key in ("n", "realizations"):
+        if key in params:
+            params[key] = as_int(params[key], key)
+    params["r_inv_grid"] = as_grid(params["r_inv_grid"], "r_inv_grid")
+    if not all(v > 0.0 for v in params["r_inv_grid"]):
+        raise ConfigError("r_inv_grid", "entries must be > 0")
+    return params
+
+
 def run_figure(
     figure_id: str,
     overrides: dict | None = None,
@@ -452,12 +475,7 @@ def run_figure(
     threads: int = 1,
 ):
     """Figure-data tables at desk scale; overrides merge over the defaults."""
-    if figure_id not in FIGURE_DEFAULTS:
-        raise ConfigError("figure", f"unknown figure id {figure_id!r}")
-    params = dict(FIGURE_DEFAULTS[figure_id])
-    params.update(overrides or {})
-    if realizations is not None:
-        params["realizations"] = realizations
+    params = _figure_params(figure_id, overrides, realizations)
 
     if figure_id == "fig1":
         table = ResultTable(
@@ -474,7 +492,7 @@ def run_figure(
         return table, {"figure": figure_id}
 
     if figure_id == "fig2":
-        nat = int(params["n"])
+        nat = params["n"]
         table = ResultTable(
             columns=[
                 "m", "n_atoms", "r_inv", "ratio", "delta_coh_abs",
@@ -496,10 +514,10 @@ def run_figure(
         return table, {"figure": figure_id}
 
     if figure_id == "fig3":
-        nat = int(params["n"])
+        nat = params["n"]
         m_values = tuple(params["m_values"])
         r_values = [1.0 / r_inv for r_inv in params["r_inv_grid"]]
-        reals = int(params["realizations"])
+        reals = params["realizations"]
         means, sems = fig3_deviation_matrix(
             nat, m_values, r_values, reals, seed,
             distribution=params.get("distribution", "uniform-cube"),
@@ -521,12 +539,12 @@ def run_figure(
                     mean_delta_coh_re=means[i, j].real,
                     mean_delta_coh_im=means[i, j].imag,
                     mean_delta_coh_abs=abs(means[i, j]),
-                    sem=float(sems[i, j]), seed=seed, method="multilinear",
+                    sem=float(sems[i, j]), seed=seed, method="power-sum",
                 )
         return table, {"figure": figure_id}
 
     # fig4
-    nat = int(params["n"])
+    nat = params["n"]
     table = ResultTable(
         columns=[
             "m", "n", "n_atoms", "r_inv", "ratio", "g_abs",

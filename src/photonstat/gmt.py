@@ -20,10 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import enumerate_pair_partitions, falling_factorial
+from .combinatorics import binomial, enumerate_pair_partitions, falling_factorial
 from .ensemble import Ensemble, structure_factor
+from .errors import ZeroIntensityError
 from .quantum import (
+    AutocorrelationSums,
     CorrelationOrder,
+    autocorrelation_sums,
     correlate,
     deviation_coh_forward_ratio,
     g1_function,
@@ -324,23 +327,65 @@ def leading_unequal(nat: int, r: float, order: CorrelationOrder) -> float:
     return _LEADING_UNEQUAL[key](nat, r)
 
 
+def deviation_coh_autocorrelation(
+    state: SingleAtomState, sums: AutocorrelationSums, m: int
+) -> float:
+    """Spin-coherence deviation g(c = 0) - g of g^(m)(k,...,k) from power sums.
+
+    Scale the state by s = max(f, |c|^2): u = f/s and v = |c|^2/s (u = 1 and
+    v = R when R <= 1), so p/s = u + v.  The slot intensity is
+    s (u N + v |S(k)|^2) = s ((u + v) N + v F_1) with F_1 = |S(k)|^2 - N, and
+    the coherence-zeroed value is (m!)^2 C(N, m) / N^m.  Expanding
+    C(N, m) ((u + v) + v F_1/N)^m term by term against G removes the t = 0
+    term symbolically:
+
+        delta = (m!)^2 sum_(t>=1) (u+v)^(m-t) v^t [C(N,m) C(m,t) (F_1/N)^t
+                - C(N-2t, m-t) F_t] / (u N + v |S(k)|^2)^m ,
+
+    and the t = 1 bracket is exactly C(N-2, m-2) F_1.  No two O(1) values
+    are subtracted, so the relative error stays at rounding level as R -> 0.
+    Terms with N - 2t < m - t vanish; m > N gives exactly 0.
+    """
+    if not 1 <= m <= sums.m_max:
+        raise ValueError(f"order {m} outside 1..{sums.m_max} of the power-sum table")
+    nat = sums.n
+    f = state.fluctuation
+    c2 = abs(state.coherence) ** 2
+    scale = max(f, c2)
+    u, v = (f / scale, c2 / scale) if scale > 0.0 else (0.0, 0.0)
+    denom = u * nat + v * sums.abs_s2
+    if not denom > 0.0:
+        raise ZeroIntensityError(
+            "cannot normalize against zero single-direction intensity "
+            "(dark state or empty ensemble)"
+        )
+    if m > nat:
+        return 0.0
+    f1 = sums.pair_sums[1]
+    a = u + v
+    total = a ** (m - 1) * v * binomial(nat - 2, m - 2) * f1
+    for t in range(2, m + 1):
+        bracket = (
+            math.comb(nat, m) * math.comb(m, t) * (f1 / nat) ** t
+            - binomial(nat - 2 * t, m - t) * sums.pair_sums[t]
+        )
+        total += a ** (m - t) * v**t * bracket
+    return math.factorial(m) ** 2 * total / denom**m
+
+
 def deviation_coh_equal_directions(
     state: SingleAtomState, ensemble: Ensemble, order: CorrelationOrder, k
 ) -> complex:
     """Spin-coherence deviation for an autocorrelation (all slots at one k).
 
-    At equal directions the coherence-zeroed exact value collapses to
-    m! N(N-1)...(N-m+1)/N^m independent of positions, so only the full-state
-    correlator needs the product kernel.
+    Builds the power sums of ``ensemble`` along ``k`` and evaluates
+    :func:`deviation_coh_autocorrelation`; to evaluate many states or orders
+    on one cloud, build :func:`photonstat.quantum.autocorrelation_sums` once.
     """
     if not order.equal_order:
         raise ValueError("equal-direction shortcut applies to m = n")
-    m = order.m
-    nat = ensemble.n
-    dirs = np.tile(np.asarray(k, dtype=float), (order.total, 1))
-    g_full = correlate(state, ensemble, order, dirs, method="multilinear").value
-    g_zeroed = math.factorial(m) * falling_factorial(nat, m) / float(nat) ** m
-    return g_zeroed - g_full
+    sums = autocorrelation_sums(ensemble, k, order.m)
+    return complex(deviation_coh_autocorrelation(state, sums, order.m))
 
 
 def locate_crossover(nat: int, m: int, r_lo: float = None, r_hi: float = None) -> float:

@@ -11,6 +11,10 @@ Three exact evaluation paths, trusted against each other:
   all observation vectors equal to zero (forward direction), with exact
   integer coefficients.
 
+For an autocorrelation (every slot at one k) ``autocorrelation_G`` needs only
+the power sums S(d k), d <= m: ``autocorrelation_sums`` computes them once
+per cloud and direction, in O(N m), for every order and state.
+
 Raw correlators G carry source-field units^(m+n); ``normalize`` divides by
 the square roots of the m+n single-direction intensities.
 """
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .combinatorics import binomial
 from .ensemble import Ensemble, phase_matrix, structure_factor
 from .errors import CapacityError, ZeroIntensityError
 from .states import SingleAtomState
@@ -288,6 +293,95 @@ def multilinear_G(
     O(N^(m+n)).
     """
     return _product_G(_two_level_table(state, order), ensemble, order, directions, cap)
+
+
+@dataclass(frozen=True)
+class AutocorrelationSums:
+    """Geometry of one cloud along one direction k, for g^(m)(k,...,k).
+
+    With z_mu = exp(2 pi i k . R_mu): ``abs_s2`` is |S(k)|^2 and
+    ``pair_sums[q]`` is the disjoint-pair sum
+    F_q = [x^q y^q] prod_mu (1 + z_mu x + conj(z_mu) y), which is real.
+    q runs from 0 to ``m_max``; one table serves every m <= m_max and every
+    state.
+    """
+
+    n: int
+    abs_s2: float
+    pair_sums: tuple[float, ...]
+
+    @property
+    def m_max(self) -> int:
+        return len(self.pair_sums) - 1
+
+
+def _pair_sums(power_sums, m: int) -> tuple[float, ...]:
+    """F_0..F_m as the exponential of the atom product's log series.
+
+    log prod_mu (1 + z_mu x + conj(z_mu) y) = sum c_ab S((a-b) k) x^a y^b over
+    a + b >= 1, with c_ab = (-1)^(a+b+1) (a+b-1)! / (a! b!).  E = exp(L)
+    follows from a E_ab = sum i L_ij E_(a-i, b-j), and on the row a = 0 from
+    the same recurrence in b.
+    """
+    log = [[0j] * (m + 1) for _ in range(m + 1)]
+    for a in range(m + 1):
+        for b in range(m + 1):
+            if a + b:
+                d = a - b
+                s = power_sums[d] if d >= 0 else power_sums[-d].conjugate()
+                coef = (-1) ** (a + b + 1) * math.factorial(a + b - 1)
+                log[a][b] = coef / (math.factorial(a) * math.factorial(b)) * s
+    exp = [[0j] * (m + 1) for _ in range(m + 1)]
+    exp[0][0] = 1.0 + 0j
+    for a in range(m + 1):
+        for b in range(m + 1):
+            if a:
+                exp[a][b] = sum(
+                    i * log[i][j] * exp[a - i][b - j]
+                    for i in range(1, a + 1)
+                    for j in range(b + 1)
+                ) / a
+            elif b:
+                exp[0][b] = sum(j * log[0][j] * exp[0][b - j] for j in range(1, b + 1)) / b
+    return tuple(exp[q][q].real for q in range(m + 1))
+
+
+def autocorrelation_sums(ensemble: Ensemble, k, m_max: int) -> AutocorrelationSums:
+    """Power sums S(d k), d <= m_max, and the pair sums built from them.
+
+    One exp per atom; the higher powers come by repeated multiplication.
+    """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    z = np.exp(1j * 2.0 * math.pi * (ensemble.positions @ np.asarray(k, dtype=float)))
+    power_sums = [complex(ensemble.n)]
+    zd = z
+    for _ in range(m_max):
+        power_sums.append(complex(zd.sum()))
+        zd = zd * z
+    return AutocorrelationSums(
+        n=ensemble.n,
+        abs_s2=abs(power_sums[1]) ** 2,
+        pair_sums=_pair_sums(power_sums, m_max),
+    )
+
+
+def autocorrelation_G(state: SingleAtomState, sums: AutocorrelationSums, m: int) -> float:
+    """G^(m)(k,...,k) = (m!)^2 sum_q p^(m-q) |c|^(2q) C(N-2q, m-q) F_q.
+
+    q atoms carry one minus slot each, q others one plus slot each (F_q),
+    and the remaining m - q slot pairs sit on common atoms chosen from the
+    other N - 2q.  Terms with no room for them vanish, so m > N gives 0.
+    """
+    if not 1 <= m <= sums.m_max:
+        raise ValueError(f"order {m} outside 1..{sums.m_max} of the power-sum table")
+    p = state.population
+    c2 = abs(state.coherence) ** 2
+    total = sum(
+        p ** (m - q) * c2**q * binomial(sums.n - 2 * q, m - q) * sums.pair_sums[q]
+        for q in range(m + 1)
+    )
+    return math.factorial(m) ** 2 * total
 
 
 def _forward_equal_a(nat: int, m: int) -> list[int]:

@@ -248,6 +248,30 @@ class TestFigures:
         with pytest.raises(ConfigError):
             run_figure("fig9")
 
+    def test_fig3_method_names_power_sums(self):
+        table, _ = run_figure(
+            "fig3", overrides={"r_inv_grid": [1e4], "n": 50}, seed=7, realizations=2
+        )
+        assert table.columns[-1] == "method"
+        assert table.column("method") == ["power-sum"] * 2
+
+    @pytest.mark.parametrize(
+        "figure_id, overrides, field",
+        [
+            ("fig1", {"n_grid": [0]}, "n_grid"),
+            ("fig3", {"r_inv_grid": [0.0]}, "r_inv_grid"),
+            ("fig3", {"m_values": [0]}, "m_values"),
+            ("fig2", {"n": "many"}, "n"),
+        ],
+    )
+    def test_out_of_range_overrides_rejected(self, figure_id, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            run_figure(figure_id, overrides=overrides)
+
+    def test_zero_realizations_rejected(self):
+        with pytest.raises(ConfigError, match="realizations"):
+            run_figure("fig3", overrides={"n": 20}, realizations=0)
+
 
 class TestCliProcess:
     def test_correlate_roundtrip(self, tmp_path, capsys):
@@ -304,6 +328,64 @@ class TestCliProcess:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_parser_built_once(self):
+        from photonstat.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_theta_out_of_range_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(BASE, sweep={"theta_grid": [4.0]}))
+        assert main(["deviation", "--config", str(cfg)]) == 2
+        assert "sweep.theta_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep", [{"s_grid": [0.0]}, {"r_grid": [-1.0]}, {"r_grid": [float("inf")]}]
+    )
+    def test_state_axis_out_of_range_exit_2(self, tmp_path, sweep):
+        cfg = write_config(tmp_path, dict(BASE, sweep=sweep))
+        assert main(["correlate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "state",
+        [{"kind": "pulse", "theta": 4.0}, {"kind": "moments", "p": 0.5, "c_re": 0.9}],
+    )
+    def test_out_of_range_state_exit_2(self, tmp_path, capsys, state):
+        cfg = write_config(tmp_path, dict(BASE, state=state))
+        assert main(["deviation", "--config", str(cfg)]) == 2
+        assert "state" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["correlate", "deviation", "conditions"])
+    def test_classical_state_in_quantum_command_exit_2(self, tmp_path, command):
+        cfg = write_config(tmp_path, dict(BASE, state={"kind": "classical", "e_incoh": 1.0}))
+        assert main([command, "--config", str(cfg)]) == 2
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(BASE, directions={"preset": "off-axis"}))
+        assert main(["correlate", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert main(["figure", "fig1", "--seed", "-1"]) == 2
+
+    def test_fig3_zero_r_inv_exit_2(self, tmp_path, capsys):
+        fig_cfg = write_config(tmp_path, {"r_inv_grid": [0.0]}, "fig.json")
+        out = tmp_path / "fig3.csv"
+        code = main(["figure", "fig3", "--config", str(fig_cfg), "--out", str(out)])
+        assert code == 2
+        assert "r_inv_grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fig1_zero_atoms_exit_2(self, tmp_path, capsys):
+        fig_cfg = write_config(tmp_path, {"n_grid": [0]}, "fig.json")
+        out = tmp_path / "fig1.csv"
+        code = main(["figure", "fig1", "--config", str(fig_cfg), "--out", str(out)])
+        assert code == 2
+        assert "n_grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_figure_overrides_file_errors_exit_2(self, tmp_path):
+        assert main(["figure", "fig1", "--config", str(tmp_path / "nope.json")]) == 2
+        not_object = write_config(tmp_path, [1, 2], "list.json")
+        assert main(["figure", "fig1", "--config", str(not_object)]) == 2
 
     def test_conditions_cli(self, tmp_path):
         cfg = write_config(tmp_path, dict(BASE, ensemble={"n": 50, "seed": 0}))
