@@ -49,7 +49,6 @@ from .gmt import (
     taylor_forward_equal,
     taylor_offaxis_coh,
 )
-from .kernels import backend as kernel_backend
 from .quantum import (
     CorrelationOrder,
     CorrelationResult,

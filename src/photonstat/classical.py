@@ -3,7 +3,7 @@
 Each emitter radiates a fixed coherent amplitude plus an incoherent amplitude
 with an independent uniform random phase.  Phase averaging turns intensity
 moments into the combinatorial counts C_{j,N}; arbitrary-direction evaluation
-runs the square-free product of ``quantum.multilinear_G`` with the classical
+runs the cumulant engine of ``quantum.multilinear_G`` with the classical
 moment table w(a, b) in place of the two-level moments (a classical
 oscillator can serve any number of slots).
 """
@@ -18,7 +18,7 @@ import numpy as np
 from .combinatorics import classical_count_C
 from .ensemble import Ensemble, phase_matrix
 from .errors import ZeroIntensityError
-from .quantum import DEFAULT_ORDER_CAP, CorrelationOrder, _as_directions, _product_G
+from .quantum import DEFAULT_ORDER_CAP, CorrelationOrder, _as_directions, slot_table
 from .states import ClassicalEmitterModel
 
 
@@ -152,9 +152,9 @@ def classical_exact_G(
     directions,
     cap: int = DEFAULT_ORDER_CAP,
 ) -> complex:
-    """Exact phase-averaged G at arbitrary directions via the product kernel."""
+    """Exact phase-averaged G at arbitrary directions via the cumulant engine."""
     table = ClassicalMoments.build(model, order).table
-    return _product_G(table, ensemble, order, directions, cap)
+    return slot_table(ensemble, order, directions, cap).G(table)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Configs are plain JSON; every validation failure carries the dotted path of
 the offending field.  Results go to CSV (one header row, RFC-4180 quoting,
 floats as shortest round-trip reprs so identical runs are byte-identical)
-with a JSON sidecar echoing the full config, tool version, and wall clock.
+with a JSON sidecar echoing the full config, tool version, evaluation engine,
+Python and numpy versions, and wall clock.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import io
 import json
 import math
+import platform
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -215,11 +217,14 @@ class ResultTable:
 
 
 def write_sidecar(path, config_echo: dict, wall_clock_s: float, extra: dict | None = None):
-    from . import __version__
+    from . import __version__, kernels
 
     payload = {
         "tool": "photonstat",
         "version": __version__,
+        "engine": kernels.backend(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "wall_clock_s": wall_clock_s,
         "config": config_echo,
     }

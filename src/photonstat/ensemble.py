@@ -222,13 +222,6 @@ class DirectionSet:
     def forward(cls, n_minus: int, n_plus: int) -> "DirectionSet":
         return cls(vectors=np.zeros((n_minus + n_plus, 3)), n_minus=n_minus)
 
-    @classmethod
-    def autocorrelation(cls, k, n_minus: int, n_plus: int) -> "DirectionSet":
-        return cls(
-            vectors=np.tile(np.asarray(k, dtype=float), (n_minus + n_plus, 1)),
-            n_minus=n_minus,
-        )
-
 
 def forward_directions(n_slots: int) -> np.ndarray:
     """All observation vectors along the drive axis: k = 0 after absorbing k_L."""

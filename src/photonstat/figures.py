@@ -34,6 +34,7 @@ from .ensemble import (
 )
 from .errors import ConfigError, ZeroIntensityError
 from .gmt import (
+    LEADING_UNEQUAL,
     check_conditions,
     crossover_ratio,
     deviation,
@@ -44,6 +45,7 @@ from .quantum import (
     CorrelationOrder,
     autocorrelation_sums,
     correlate,
+    correlate_forward,
     deviation_coh_forward_ratio,
     forward_g_equal_ratio,
     forward_g_unequal_ratio_abs,
@@ -221,13 +223,16 @@ def run_correlate(cfg: ScenarioConfig, validate: bool = False, threads: int = 1)
 
     def evaluate(point: _Point, cells: dict) -> None:
         state, dirs = _quantum_row(cfg, point, cells)
-        ensemble = point.ensemble
-        result = correlate(state, ensemble, order, dirs)
+        if np.any(dirs):
+            result = correlate(state, point.ensemble, order, dirs)
+        else:  # the closed forms need only N, so no cloud is built
+            result = correlate_forward(state, point.nat, order)
         cells.update(
             method=result.method,
             g_re=result.value.real, g_im=result.value.imag, g_abs=abs(result.value),
         )
-        if validate and ensemble.n**order.total <= ORACLE_VALIDATE_GUARD:
+        if validate and point.nat**order.total <= ORACLE_VALIDATE_GUARD:
+            ensemble = point.ensemble
             reference = oracle_G(state, ensemble, order, dirs)
             ints = [intensity(state, ensemble, k) for k in dirs]
             oracle_value = normalize(reference, ints)
@@ -461,10 +466,20 @@ def _figure_params(figure_id: str, overrides: dict | None, realizations) -> dict
     for key in ("n", "realizations"):
         if key in params:
             params[key] = as_int(params[key], key)
+    if "orders" in params:
+        params["orders"] = [_tabulated_order(v) for v in params["orders"]]
     params["r_inv_grid"] = as_grid(params["r_inv_grid"], "r_inv_grid")
     if not all(v > 0.0 for v in params["r_inv_grid"]):
         raise ConfigError("r_inv_grid", "entries must be > 0")
     return params
+
+
+def _tabulated_order(value) -> tuple[int, int]:
+    """An [m, n] entry of fig4's ``orders`` with a tabulated leading term."""
+    for key in LEADING_UNEQUAL:
+        if isinstance(value, (list, tuple)) and list(value) == list(key):
+            return key
+    raise ConfigError("orders", f"entries must be among {sorted(LEADING_UNEQUAL)}, got {value!r}")
 
 
 def run_figure(

@@ -26,10 +26,10 @@ from .errors import ZeroIntensityError
 from .quantum import (
     AutocorrelationSums,
     CorrelationOrder,
+    _as_directions,
     autocorrelation_sums,
-    correlate,
     deviation_coh_forward_ratio,
-    g1_function,
+    slot_table,
 )
 from .states import SingleAtomState
 
@@ -90,15 +90,19 @@ def gmt_predict(order: CorrelationOrder, directions, g1) -> complex:
     ``g1`` is any callable (k_i, k_j) -> complex, typically
     :func:`photonstat.quantum.g1_function`.
     """
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    return _pair_partition_sum(order, lambda i, j: g1(dirs[i], dirs[j]))
+
+
+def _pair_partition_sum(order: CorrelationOrder, g1) -> complex:
+    """sum over pairings of prod g1(i, j), i a minus and j a plus slot index."""
     if not order.equal_order:
         return 0.0 + 0.0j
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    m = order.m
     total = 0.0 + 0.0j
-    for partition in enumerate_pair_partitions(m):
+    for partition in enumerate_pair_partitions(order.m):
         term = 1.0 + 0.0j
         for i, j in partition.pairs:
-            term *= g1(dirs[i - 1], dirs[j - 1])
+            term *= g1(i - 1, j - 1)
         total += term
     return total
 
@@ -147,19 +151,20 @@ def deviation(
     ensemble: Ensemble,
     order: CorrelationOrder,
     directions,
-    method: str = "auto",
 ) -> DeviationReport:
-    """Full deviation decomposition at the given observation directions."""
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    result = correlate(state, ensemble, order, dirs, method=method)
-    g_exact = result.value
-    g_gmt = gmt_predict(order, dirs, g1_function(state, ensemble))
+    """Full deviation decomposition at the given observation directions.
+
+    One structure-factor table of the slot subsets serves g, the
+    coherence-zeroed g, the slot intensities and every pair factor g^(1).
+    """
+    dirs = _as_directions(directions, order.total)
+    slots = slot_table(ensemble, order, dirs)
+    g_exact = slots.g(state)[1]
+    g_gmt = _pair_partition_sum(order, slots.g1(state))
     delta_total = g_gmt - g_exact
     if order.equal_order:
         zeroed = state.coherence_zeroed()
-        result0 = correlate(zeroed, ensemble, order, dirs, method=method)
-        gmt0 = gmt_predict(order, dirs, g1_function(zeroed, ensemble))
-        delta_n = gmt0 - result0.value
+        delta_n = _pair_partition_sum(order, slots.g1(zeroed)) - slots.g(zeroed)[1]
     else:
         delta_n = 0.0 + 0.0j
     delta_coh = delta_total - delta_n
@@ -312,7 +317,7 @@ def taylor_offaxis_coh(ensemble: Ensemble, m: int, k, r: float) -> OffAxisSeries
     )
 
 
-_LEADING_UNEQUAL = {
+LEADING_UNEQUAL = {
     (2, 1): lambda nat, r: 2.0 * math.sqrt(nat * r),
     (3, 1): lambda nat, r: 3.0 * nat * r,
     (3, 2): lambda nat, r: 6.0 * math.sqrt(nat * r),
@@ -322,9 +327,9 @@ _LEADING_UNEQUAL = {
 def leading_unequal(nat: int, r: float, order: CorrelationOrder) -> float:
     """Leading magnitude of |g^(m,n)(0)|: 2 sqrt(NR), 3 NR, 6 sqrt(NR)."""
     key = (order.m, order.n)
-    if key not in _LEADING_UNEQUAL:
+    if key not in LEADING_UNEQUAL:
         raise ValueError(f"no tabulated leading term for order {key}")
-    return _LEADING_UNEQUAL[key](nat, r)
+    return LEADING_UNEQUAL[key](nat, r)
 
 
 def deviation_coh_autocorrelation(

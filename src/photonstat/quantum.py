@@ -4,9 +4,10 @@ Three exact evaluation paths, trusted against each other:
 
 * ``oracle_G``: brute-force sum over all index tuples.  Feasible only for
   tiny systems; it is the reference everything else is tested against.
-* ``multilinear_G``: the same sum reorganized as a square-free polynomial
-  product, one factor per atom, with one formal marker per operator slot.
-  Cost O(N 4^(m+n)); this is the path that reaches N = 10^4.
+* ``multilinear_G``: the same sum as a cumulant (set-partition) expansion
+  over the structure factors of the 2^(m+n) slot subsets, built once per
+  cloud and directions (``slot_table``, :mod:`photonstat.kernels`).  Cost
+  O(N 2^(m+n)) plus O(3^(m+n)) per state; this path reaches N = 10^4.
 * ``forward_G_equal`` / ``forward_G_unequal``: closed-form binomial sums for
   all observation vectors equal to zero (forward direction), with exact
   integer coefficients.
@@ -29,13 +30,12 @@ import numpy as np
 
 from . import kernels
 from .combinatorics import binomial
-from .ensemble import Ensemble, phase_matrix, structure_factor
+from .ensemble import DirectionSet, Ensemble, phase_matrix, structure_factor
 from .errors import CapacityError, ZeroIntensityError
 from .states import SingleAtomState
 
 DEFAULT_ORDER_CAP = 8
 ORACLE_TUPLE_GUARD = 10**8
-_ATOM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,6 @@ class CorrelationResult:
 
 
 def _as_directions(directions, n_slots: int) -> np.ndarray:
-    from .ensemble import DirectionSet
-
     if isinstance(directions, DirectionSet):
         directions = directions.vectors
     arr = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -224,60 +222,75 @@ def oracle_G(
     return acc.total()
 
 
-def _factor_chunk(ph_chunk: np.ndarray, m: int, n: int, table: np.ndarray) -> np.ndarray:
-    """Per-atom factor polynomials from a single-emitter moment table.
-
-    Column ``mask`` is w(a, b) times the slot phase columns of ``mask`` in
-    ascending slot order, where a and b count the minus and plus slots in
-    ``mask``; minus slot i carries exp(+2 pi i k_i . R), plus slot j its
-    conjugate.  Masks with w(a, b) = 0 stay zero.
-    """
-    s = m + n
-    cols = [ph_chunk[:, i] if i < m else np.conj(ph_chunk[:, i]) for i in range(s)]
-    out = np.zeros((ph_chunk.shape[0], 1 << s), dtype=complex)
-    minus = (1 << m) - 1
-    for mask in range(1 << s):
-        w = table[(mask & minus).bit_count(), (mask >> m).bit_count()]
-        if w != 0:
-            col = np.full(ph_chunk.shape[0], w)
-            for i in range(s):
-                if mask >> i & 1:
-                    col *= cols[i]
-            out[:, mask] = col
-    return out
-
-
-def _two_level_table(state: SingleAtomState, order: CorrelationOrder) -> np.ndarray:
-    """w(a, b) of a two-level atom: 1, <s+>, <s->, <s+ s->, zero for a or b > 1."""
-    moments = np.array(
-        [[1.0, state.coherence], [state.coherence_plus, state.population]], dtype=complex
-    )
+def _two_level_table(state: SingleAtomState, order: CorrelationOrder, scale: float = 1.0):
+    """w(a, b) / scale^((a+b)/2); w is 1, <s+>, <s->, <s+ s->, zero for a or b > 1."""
+    c = state.coherence / math.sqrt(scale)
+    moments = np.array([[1.0, c], [c.conjugate(), state.population / scale]], dtype=complex)
     table = np.zeros((order.m + 1, order.n + 1), dtype=complex)
     table[:2, :2] = moments[: order.m + 1, : order.n + 1]
     return table
 
 
-def _product_G(
-    table: np.ndarray, ensemble: Ensemble, order: CorrelationOrder, directions, cap: int
-) -> complex:
-    """All-markers coefficient of the atom product with factors from ``table``.
+def _scaled_moments(state: SingleAtomState) -> tuple[float, float, float]:
+    """(s, f / s, |c|^2 / s) with s = max(f, |c|^2), or s = 1 for a dark state."""
+    f = state.fluctuation
+    c2 = abs(state.coherence) ** 2
+    scale = max(f, c2) or 1.0
+    return scale, f / scale, c2 / scale
 
-    ``table[a, b]`` is the single-emitter moment with a minus and b plus
-    slots on one atom; the atom factors are built chunk by chunk.
+
+@dataclass(frozen=True)
+class SlotTable:
+    """Structure factors S(K_T) of one cloud for every subset T of the slots.
+
+    Minus slot i adds +k_i to K_T and plus slot j adds -k_j: ``values[0]`` is
+    N, ``values[1 << i]`` is S(+-k_i), and a minus slot i with a plus slot j
+    give S(k_i - k_j).  One table serves every state and moment table.
     """
-    s = order.total
-    if s > cap:
-        raise CapacityError(f"multilinear path capped at m + n <= {cap}, got {s}")
-    kk = _as_directions(directions, s).T  # (3, s)
-    positions = ensemble.positions
 
-    def chunks():
-        for start in range(0, ensemble.n, _ATOM_CHUNK):
-            block = positions[start : start + _ATOM_CHUNK]
-            ph = np.exp(1j * 2.0 * math.pi * (block @ kk))
-            yield _factor_chunk(ph, order.m, order.n, table)
+    order: CorrelationOrder
+    n: int
+    values: np.ndarray
 
-    return kernels.squarefree_top_coefficient(chunks(), s)
+    def G(self, table: np.ndarray) -> complex:
+        """G from the single-emitter moment table ``table[a, b]``."""
+        return kernels.partition_sum(table, self.values, self.order.m)
+
+    def intensities(self, f: float, c2: float) -> list[float]:
+        """f N + |c|^2 |S(k_i)|^2 for every slot i."""
+        return [f * self.n + c2 * abs(self.values[1 << i]) ** 2 for i in range(self.order.total)]
+
+    def g(self, state: SingleAtomState) -> tuple[complex, complex]:
+        """(G, g) of a two-level state; G is exactly 0 when max(m, n) > N.
+
+        g comes from w(a, b) / s^((a+b)/2) with s = max(f, |c|^2): g does not
+        change, and faint states do not underflow to 0 / 0.
+        """
+        scale, f, c2 = _scaled_moments(state)
+        order = self.order
+        raw = 0j if order.x > self.n else self.G(_two_level_table(state, order, scale))
+        value = normalize(raw, self.intensities(f, c2))
+        return raw * scale ** (order.total / 2), value
+
+    def g1(self, state: SingleAtomState):
+        """g^(1)(k_i, k_j) of minus slot i and plus slot j, as a callable (i, j)."""
+        _, f, c2 = _scaled_moments(state)
+        ints, s = self.intensities(f, c2), self.values
+        return lambda i, j: normalize(
+            f * s[1 << i | 1 << j] + c2 * s[1 << i] * s[1 << j], (ints[i], ints[j])
+        )
+
+
+def slot_table(
+    ensemble: Ensemble, order: CorrelationOrder, directions, cap: int = DEFAULT_ORDER_CAP
+) -> SlotTable:
+    """The structure factors of every slot subset; m + n is capped at ``cap``."""
+    if order.total > cap:
+        raise CapacityError(f"multilinear path capped at m + n <= {cap}, got {order.total}")
+    values = kernels.structure_factor_table(
+        ensemble.positions, _as_directions(directions, order.total), order.m
+    )
+    return SlotTable(order=order, n=ensemble.n, values=values)
 
 
 def multilinear_G(
@@ -287,12 +300,15 @@ def multilinear_G(
     directions,
     cap: int = DEFAULT_ORDER_CAP,
 ) -> complex:
-    """Exact G as the all-markers coefficient of the square-free atom product.
+    """Exact G from the structure factors of the slot subsets and the cumulants.
 
-    Equivalent to ``oracle_G`` term by term, at cost O(N 4^(m+n)) instead of
-    O(N^(m+n)).
+    Equivalent to ``oracle_G`` term by term (see :mod:`photonstat.kernels`), at
+    cost O(N 2^(m+n)) instead of O(N^(m+n)).  A two-level atom serves at most
+    one slot of each kind, so max(m, n) > N gives exactly 0.
     """
-    return _product_G(_two_level_table(state, order), ensemble, order, directions, cap)
+    if order.x > ensemble.n and order.total <= cap:  # over the cap still raises
+        return 0j
+    return slot_table(ensemble, order, directions, cap).G(_two_level_table(state, order))
 
 
 @dataclass(frozen=True)
@@ -516,35 +532,29 @@ def forward_intensity(state: SingleAtomState, nat: int) -> float:
     return nat * state.population + nat * (nat - 1) * c2
 
 
+def correlate_forward(state: SingleAtomState, nat: int, order: CorrelationOrder):
+    """CorrelationResult with every k = 0 from the closed forms, which need only N."""
+    if order.equal_order:
+        raw = complex(forward_G_equal(state, nat, order.m))
+    else:
+        raw = forward_G_unequal(state, nat, order.m, order.n)
+    ints = [forward_intensity(state, nat)] * order.total
+    return CorrelationResult(
+        raw=raw, value=normalize(raw, ints), method="forward-closed-form", order=order,
+        directions=np.zeros((order.total, 3)),
+    )
+
+
 def correlate(
     state: SingleAtomState,
     ensemble: Ensemble,
     order: CorrelationOrder,
     directions,
-    method: str = "auto",
     cap: int = DEFAULT_ORDER_CAP,
 ) -> CorrelationResult:
-    """Dispatch to the cheapest exact path and return raw plus normalized g."""
+    """Raw plus normalized g: closed forms when every k is 0, else the engine."""
     dirs = _as_directions(directions, order.total)
-    forward_ok = not np.any(dirs)
-    if method == "auto":
-        method = "forward-closed-form" if forward_ok else "multilinear"
-    if method == "forward-closed-form":
-        if not forward_ok:
-            raise ValueError("forward closed form only applies at k = 0")
-        if order.equal_order:
-            raw = complex(forward_G_equal(state, ensemble.n, order.m))
-        else:
-            raw = forward_G_unequal(state, ensemble.n, order.m, order.n)
-        ints = [forward_intensity(state, ensemble.n)] * order.total
-    elif method == "multilinear":
-        raw = multilinear_G(state, ensemble, order, dirs, cap=cap)
-        ints = [intensity(state, ensemble, k) for k in dirs]
-    elif method == "oracle":
-        raw = oracle_G(state, ensemble, order, dirs)
-        ints = [intensity(state, ensemble, k) for k in dirs]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return CorrelationResult(
-        raw=raw, value=normalize(raw, ints), method=method, order=order, directions=dirs
-    )
+    if not np.any(dirs):
+        return correlate_forward(state, ensemble.n, order)
+    raw, value = slot_table(ensemble, order, dirs, cap).g(state)
+    return CorrelationResult(raw, value, method="multilinear", order=order, directions=dirs)

@@ -1,5 +1,5 @@
-"""The power-sum autocorrelation path against the oracle, the product kernel,
-the general deviation path and a 50-digit reference."""
+"""The power-sum autocorrelation path against the oracle, the general-direction
+engine, the general deviation path and a 50-digit reference."""
 
 import math
 

@@ -9,6 +9,7 @@ import pytest
 
 from photonstat.cli import main
 from photonstat.config import ResultTable, ScenarioConfig, format_cell
+from photonstat.ensemble import random_cloud
 from photonstat.errors import ConfigError
 from photonstat.figures import (
     run_classical,
@@ -158,6 +159,24 @@ class TestRunners:
         (se,) = table.column("mc_se")
         assert abs(mc - g) <= 4 * se
 
+    def test_forward_correlate_builds_no_cloud(self, monkeypatch):
+        import photonstat.figures as figures
+
+        calls = []
+
+        def counting_cloud(*args, **kwargs):
+            calls.append(args)
+            return random_cloud(*args, **kwargs)
+
+        monkeypatch.setattr(figures, "random_cloud", counting_cloud)
+        cfg = ScenarioConfig.from_dict(dict(BASE, sweep={"n_grid": [10, 20000]}))
+        table, _ = run_correlate(cfg)
+        assert calls == []
+        assert table.column("method") == ["forward-closed-form"] * 2
+        off_axis = dict(BASE, directions={"preset": "off-axis"}, sweep={"n_grid": [10]})
+        run_correlate(ScenarioConfig.from_dict(off_axis))
+        assert len(calls) == 1
+
     def test_deviation_runner(self):
         cfg = ScenarioConfig.from_dict(dict(BASE, ensemble={"n": 100, "seed": 3}))
         table, _ = run_deviation(cfg)
@@ -262,6 +281,9 @@ class TestFigures:
             ("fig3", {"r_inv_grid": [0.0]}, "r_inv_grid"),
             ("fig3", {"m_values": [0]}, "m_values"),
             ("fig2", {"n": "many"}, "n"),
+            ("fig4", {"orders": [[4, 1]]}, "orders"),
+            ("fig4", {"orders": [[2, 2]]}, "orders"),
+            ("fig4", {"orders": [2, 1]}, "orders"),
         ],
     )
     def test_out_of_range_overrides_rejected(self, figure_id, overrides, field):
@@ -285,6 +307,50 @@ class TestCliProcess:
         sidecar = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert sidecar["tool"] == "photonstat"
         assert sidecar["config"]["order"] == {"m": 2, "n": 2}
+
+    def test_sidecar_records_engine_and_versions(self, tmp_path):
+        import platform
+
+        cfg = write_config(tmp_path, BASE)
+        out = tmp_path / "out.csv"
+        assert main(["correlate", "--config", str(cfg), "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert sidecar["engine"] == "numpy"
+        assert sidecar["python"] == platform.python_version()
+        assert sidecar["numpy"] == np.__version__
+
+    @pytest.mark.parametrize("command", ["correlate", "deviation"])
+    def test_faint_state_rows_match_bright(self, tmp_path, command):
+        # with c = 0 the state enters g only through its scale, so p = 1e-200
+        # must give the p = 0.5 values; p = 0 is dark
+        rows = {}
+        for p in (0.5, 1e-200, 0.0):
+            cfg = write_config(
+                tmp_path,
+                dict(
+                    BASE,
+                    state={"kind": "moments", "p": p},
+                    directions={"preset": "off-axis"},
+                    sweep={"n_grid": [4]},
+                ),
+            )
+            out = tmp_path / f"{command}-{p}.csv"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            (rows[p],) = read_csv(out)
+        assert rows[1e-200]["status"] == rows[0.5]["status"] == "ok"
+        assert rows[0.0]["status"] == "dark-state"
+        value_columns = [c for c in rows[0.5] if c.startswith(("g_", "delta_"))]
+        assert value_columns
+        for column in value_columns:
+            assert float(rows[1e-200][column]) == pytest.approx(
+                float(rows[0.5][column]), rel=1e-12, abs=1e-12
+            )
+
+    def test_fig4_unknown_order_exit_2(self, tmp_path, capsys):
+        overrides = write_config(tmp_path, {"orders": [[4, 1]]}, name="fig4.json")
+        out = tmp_path / "fig4.csv"
+        assert main(["figure", "fig4", "--config", str(overrides), "--out", str(out)]) == 2
+        assert "orders" in capsys.readouterr().err
 
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, dict(BASE, directions={"preset": "bogus"}))

@@ -1,11 +1,12 @@
-"""Backend-agreement and contract tests for the square-free product kernel."""
+"""The structure-factor cumulant engine against brute-force products."""
+
+import math
 
 import numpy as np
 import pytest
 
 from photonstat import kernels
-from photonstat._kernels_py import accumulate_product as py_accumulate
-from photonstat._kernels_py import product_polynomial
+from photonstat.ensemble import random_cloud, structure_factor
 
 
 def random_factors(rng, n_atoms, n_slots, density=0.4):
@@ -32,73 +33,98 @@ def brute_force_product(factors):
     return poly
 
 
-class TestPythonFallback:
+def exp_of_summed_logs(factors):
+    return kernels.squarefree_exp(sum(kernels.squarefree_log(row) for row in factors))
+
+
+def assert_matches(got, want, n_slots):
+    for mask in range(1 << n_slots):
+        assert got[mask] == pytest.approx(want.get(mask, 0.0), rel=1e-12, abs=1e-12)
+
+
+class TestSquarefreeEngine:
     @pytest.mark.parametrize("n_slots", [1, 2, 3, 5])
-    def test_product_polynomial_matches_symbolic(self, n_slots):
+    def test_exp_of_summed_logs_matches_symbolic(self, n_slots):
         rng = np.random.default_rng(n_slots)
         factors = random_factors(rng, 7, n_slots)
-        got = product_polynomial(factors)
-        want = brute_force_product(factors)
-        for mask in range(1 << n_slots):
-            assert got[mask] == pytest.approx(want.get(mask, 0.0), rel=1e-12, abs=1e-12)
+        assert_matches(exp_of_summed_logs(factors), brute_force_product(factors), n_slots)
 
-    def test_accumulate_identity_state(self):
+    def test_log_inverts_exp(self):
         rng = np.random.default_rng(0)
-        factors = random_factors(rng, 5, 3)
-        state = np.zeros(8, dtype=complex)
-        state[0] = 1.0
-        py_accumulate(state, factors)
-        want = brute_force_product(factors)
-        for mask in range(8):
-            assert state[mask] == pytest.approx(want.get(mask, 0.0), rel=1e-12, abs=1e-12)
+        coeffs = rng.normal(size=16) + 1j * rng.normal(size=16)
+        coeffs[0] = 0.0
+        back = kernels.squarefree_log(kernels.squarefree_exp(coeffs))
+        np.testing.assert_allclose(back, coeffs, rtol=1e-12, atol=1e-12)
 
-    def test_chunked_equals_single_shot(self):
+    def test_chunked_logs_equal_single_shot(self):
         rng = np.random.default_rng(1)
         factors = random_factors(rng, 12, 4)
-        whole = np.zeros(16, dtype=complex)
-        whole[0] = 1.0
-        py_accumulate(whole, factors)
-        parts = np.zeros(16, dtype=complex)
-        parts[0] = 1.0
-        py_accumulate(parts, factors[:5])
-        py_accumulate(parts, factors[5:])
-        np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=1e-12)
+        parts = kernels.squarefree_exp(
+            sum(kernels.squarefree_log(row) for row in factors[:5])
+            + sum(kernels.squarefree_log(row) for row in factors[5:])
+        )
+        np.testing.assert_allclose(parts, exp_of_summed_logs(factors), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n_slots,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (6, 203)])
+    def test_exp_counts_set_partitions(self, n_slots, bell):
+        coeffs = np.ones(1 << n_slots)
+        coeffs[0] = 0.0
+        assert kernels.squarefree_exp(coeffs)[-1] == bell
 
 
-@pytest.mark.skipif(
-    "cython" not in kernels.available_backends(), reason="compiled kernel not built"
-)
-class TestBackendAgreement:
-    @pytest.mark.parametrize("trial", range(8))
-    def test_backends_agree(self, trial):
-        rng = np.random.default_rng(100 + trial)
-        n_slots = int(rng.integers(1, 7))
-        n_atoms = int(rng.integers(1, 40))
-        factors = random_factors(rng, n_atoms, n_slots)
-        cython_impl = kernels.available_backends()["cython"]
-        a = np.zeros(1 << n_slots, dtype=complex)
-        a[0] = 1.0
-        b = a.copy()
-        cython_impl.accumulate_product(a, factors)
-        py_accumulate(b, factors)
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-
-    def test_width_mismatch(self):
-        cython_impl = kernels.available_backends()["cython"]
-        with pytest.raises(ValueError):
-            cython_impl.accumulate_product(
-                np.zeros(4, dtype=complex), np.ones((2, 8), dtype=complex)
-            )
+def signed_masks(vectors, m):
+    """K_T for every slot mask T: minus slots add +k, plus slots add -k."""
+    signs = np.where(np.arange(len(vectors)) < m, 1.0, -1.0)
+    return [
+        sum((signs[i] * vectors[i] for i in range(len(vectors)) if t >> i & 1), np.zeros(3))
+        for t in range(1 << len(vectors))
+    ]
 
 
-def test_top_coefficient_driver():
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (0, 3)])
+def test_structure_factor_table_matches_direct(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    ens = random_cloud(30, seed=m + n)
+    vectors = rng.normal(size=(m + n, 3))
+    table = kernels.structure_factor_table(ens.positions, vectors, m)
+    assert table[0] == ens.n
+    for t, k in enumerate(signed_masks(vectors, m)):
+        assert table[t] == pytest.approx(structure_factor(ens, k), rel=1e-12, abs=1e-12)
+
+
+def test_structure_factor_table_chunking(monkeypatch):
+    rng = np.random.default_rng(3)
+    ens = random_cloud(50, seed=5)
+    vectors = rng.normal(size=(4, 3))
+    whole = kernels.structure_factor_table(ens.positions, vectors, 2)
+    monkeypatch.setattr(kernels, "_ATOM_CHUNK", 7)
+    chunked = kernels.structure_factor_table(ens.positions, vectors, 2)
+    np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-12)
+
+
+def test_partition_sum_top_coefficient():
+    # atom factors from a moment table and the slot phases, multiplied out
     rng = np.random.default_rng(7)
-    factors = random_factors(rng, 9, 3)
-    want = brute_force_product(factors).get(7, 0.0)
-    got = kernels.squarefree_top_coefficient([factors[:4], factors[4:]], 3)
-    assert got == pytest.approx(want, rel=1e-12)
+    m, n = 2, 1
+    table = rng.normal(size=(m + 1, n + 1)) + 1j * rng.normal(size=(m + 1, n + 1))
+    table[0, 0] = 1.0
+    ens = random_cloud(9, seed=7)
+    vectors = rng.normal(size=(m + n, 3))
+    ks = signed_masks(vectors, m)
+    factors = np.array(
+        [
+            [
+                table[(t & 3).bit_count(), (t >> 2).bit_count()]
+                * np.exp(2j * math.pi * (pos @ ks[t]))
+                for t in range(8)
+            ]
+            for pos in ens.positions
+        ]
+    )
+    want = brute_force_product(factors)[7]
+    s_table = kernels.structure_factor_table(ens.positions, vectors, m)
+    assert kernels.partition_sum(table, s_table, m) == pytest.approx(want, rel=1e-12)
 
 
 def test_backend_reported():
-    assert kernels.backend() in ("cython", "python")
-    assert "python" in kernels.available_backends()
+    assert kernels.backend() == "numpy"

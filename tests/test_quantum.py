@@ -123,7 +123,7 @@ class TestMultilinear:
             )
 
     def test_chunking_matches_unchunked(self, monkeypatch):
-        import photonstat.quantum as quantum
+        import photonstat.kernels as kernels
 
         rng = np.random.default_rng(9)
         ens = random_cloud(50, seed=4)
@@ -133,7 +133,7 @@ class TestMultilinear:
         order = CorrelationOrder(2, 1)
         full = multilinear_G(st, ens, CorrelationOrder.equal(2), dirs)
         full_classical = classical_exact_G(model, ens, order, dirs[:3])
-        monkeypatch.setattr(quantum, "_ATOM_CHUNK", 7)
+        monkeypatch.setattr(kernels, "_ATOM_CHUNK", 7)
         chunked = multilinear_G(st, ens, CorrelationOrder.equal(2), dirs)
         assert chunked == pytest.approx(full, rel=1e-12)
         chunked_classical = classical_exact_G(model, ens, order, dirs[:3])
