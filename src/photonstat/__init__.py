@@ -7,7 +7,6 @@ that decide when the light is effectively thermal.
 """
 
 from .classical import (
-    ClassicalMoments,
     classical_exact_G,
     classical_forward_g,
     classical_forward_g_unequal,
@@ -24,13 +23,7 @@ from .combinatorics import (
     permutation_count_P,
     stirling_first,
 )
-from .ensemble import (
-    DirectionSet,
-    Ensemble,
-    random_cloud,
-    speckle_moments,
-    structure_factor,
-)
+from .ensemble import Ensemble, random_cloud, structure_factor
 from .errors import (
     CapacityError,
     ConfigError,
@@ -58,6 +51,7 @@ from .quantum import (
     multilinear_G,
     normalize,
     oracle_G,
+    slot_table,
 )
 from .states import (
     ClassicalEmitterModel,

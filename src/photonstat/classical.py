@@ -2,10 +2,13 @@
 
 Each emitter radiates a fixed coherent amplitude plus an incoherent amplitude
 with an independent uniform random phase.  Phase averaging turns intensity
-moments into the combinatorial counts C_{j,N}; arbitrary-direction evaluation
-runs the cumulant engine of ``quantum.multilinear_G`` with the classical
-moment table w(a, b) in place of the two-level moments (a classical
-oscillator can serve any number of slots).
+moments into the combinatorial counts C_{j,N}; at arbitrary directions a
+classical model goes through the same ``quantum.SlotTable.g`` as a two-level
+state, with its phase-averaged moment table
+(``ClassicalEmitterModel.moment_table``) in place of the two-level moments
+(a classical oscillator can serve any number of slots).  The closed forms
+and the moment table take the amplitudes over max(|E_coh|, E_incoh), so
+faint models do not underflow.
 """
 
 from __future__ import annotations
@@ -18,40 +21,8 @@ import numpy as np
 from .combinatorics import classical_count_C
 from .ensemble import Ensemble, phase_matrix
 from .errors import ZeroIntensityError
-from .quantum import DEFAULT_ORDER_CAP, CorrelationOrder, _as_directions, slot_table
+from .quantum import CorrelationOrder, _as_directions, slot_table
 from .states import ClassicalEmitterModel
-
-
-@dataclass(frozen=True)
-class ClassicalMoments:
-    """Phase-averaged single-emitter moments w(a, b) for a minus- and b plus-slots.
-
-    w(a, b) = sum_t C(a,t) C(b,t) |E_incoh|^(2t) E_coh*^(a-t) E_coh^(b-t);
-    only balanced incoherent powers survive the phase average.  The table is
-    conjugate-symmetric under swapping a and b.
-    """
-
-    table: np.ndarray  # (m+1, n+1) complex
-
-    @classmethod
-    def build(cls, model: ClassicalEmitterModel, order: CorrelationOrder) -> "ClassicalMoments":
-        m, n = order.m, order.n
-        ec = model.e_coh
-        ei2 = model.e_incoh**2
-        tab = np.zeros((m + 1, n + 1), dtype=complex)
-        for a in range(m + 1):
-            for b in range(n + 1):
-                val = 0.0 + 0.0j
-                for t in range(min(a, b) + 1):
-                    val += (
-                        math.comb(a, t)
-                        * math.comb(b, t)
-                        * ei2**t
-                        * ec.conjugate() ** (a - t)
-                        * ec ** (b - t)
-                    )
-                tab[a, b] = val
-        return cls(table=tab)
 
 
 def classical_intensity(model: ClassicalEmitterModel, nat: int) -> float:
@@ -59,20 +30,11 @@ def classical_intensity(model: ClassicalEmitterModel, nat: int) -> float:
     return nat * model.e_incoh**2 + nat**2 * abs(model.e_coh) ** 2
 
 
-def classical_intensity_at(model: ClassicalEmitterModel, ensemble: Ensemble, k) -> float:
-    """Phase-averaged intensity at direction k: N |E_incoh|^2 + |E_coh|^2 |S(k)|^2."""
-    from .ensemble import structure_factor
-
-    return (
-        ensemble.n * model.e_incoh**2
-        + abs(model.e_coh) ** 2 * abs(structure_factor(ensemble, k)) ** 2
-    )
-
-
 def classical_forward_g(model: ClassicalEmitterModel, nat: int, m: int) -> float:
     """g^(m)(0) = sum_j C(m,j)^2 (N^2 |Ec|^2)^(m-j) |Ei|^(2j) C_{j,N} / <I>^m."""
     if m < 1 or nat < 1:
         raise ValueError("orders and atom counts must be positive")
+    model = model.unit()
     ec2 = abs(model.e_coh) ** 2
     ei2 = model.e_incoh**2
     num = 0.0
@@ -127,6 +89,7 @@ def classical_forward_g_unequal(
     """
     if not m > n >= 0:
         raise ValueError("requires m > n >= 0")
+    model = model.unit()
     ec = model.e_coh
     ei2 = model.e_incoh**2
     num = 0.0 + 0.0j
@@ -146,15 +109,10 @@ def classical_forward_g_unequal(
 
 
 def classical_exact_G(
-    model: ClassicalEmitterModel,
-    ensemble: Ensemble,
-    order: CorrelationOrder,
-    directions,
-    cap: int = DEFAULT_ORDER_CAP,
+    model: ClassicalEmitterModel, ensemble: Ensemble, order: CorrelationOrder, directions
 ) -> complex:
     """Exact phase-averaged G at arbitrary directions via the cumulant engine."""
-    table = ClassicalMoments.build(model, order).table
-    return slot_table(ensemble, order, directions, cap).G(table)
+    return slot_table(ensemble, order, directions).G(model)
 
 
 @dataclass(frozen=True)

@@ -91,25 +91,21 @@ class PairPartition:
             raise ValueError("second elements must be distinct")
 
 
-def enumerate_pair_partitions(
-    m: int, j_set: tuple[int, ...] | None = None, cap: int = DEFAULT_ORDER_CAP
-) -> Iterator[PairPartition]:
-    """All m! pairings of {1..m} with the plus-slot block, in lexicographic order.
+def enumerate_pair_partitions(m: int) -> Iterator[PairPartition]:
+    """All m! pairings of {1..m} with the plus slots m+1..2m, in lexicographic order.
 
-    ``j_set`` overrides the default plus-slot labels (m+1..2m).  ``m == 0``
-    yields nothing; ``m > cap`` raises :class:`CapacityError` since the output
-    grows factorially.
+    ``m == 0`` yields nothing; ``m > DEFAULT_ORDER_CAP`` raises
+    :class:`CapacityError` since the output grows factorially.
     """
     if m < 0:
         raise ValueError("order m must be non-negative")
     if m == 0:
         return
-    if m > cap:
-        raise CapacityError(f"pair-partition enumeration capped at m <= {cap}, got {m}")
-    js = tuple(range(m + 1, 2 * m + 1)) if j_set is None else tuple(j_set)
-    if len(js) != m:
-        raise ValueError("j_set must supply exactly m labels")
-    for perm in itertools.permutations(js):
+    if m > DEFAULT_ORDER_CAP:
+        raise CapacityError(
+            f"pair-partition enumeration capped at m <= {DEFAULT_ORDER_CAP}, got {m}"
+        )
+    for perm in itertools.permutations(range(m + 1, 2 * m + 1)):
         yield PairPartition(tuple((i + 1, perm[i]) for i in range(m)))
 
 
@@ -169,21 +165,6 @@ def falling_factorial(n: int, m: int) -> int:
 def binomial(n: int, k: int) -> int:
     """C(n, k); zero outside 0 <= k <= n, including for negative n."""
     return math.comb(n, k) if 0 <= k <= n else 0
-
-
-def tuple_count_unrestricted(n: int, m: int) -> int:
-    """Number of unrestricted index m-tuples over N atoms: N^m."""
-    return n**m
-
-
-def tuple_count_distinct(n: int, m: int) -> int:
-    """Number of mutually-different index m-tuples: m! C(N, m)."""
-    return falling_factorial(n, m)
-
-
-def tuple_count_ordered(n: int, m: int) -> int:
-    """Number of strictly increasing index m-tuples: C(N, m)."""
-    return math.comb(n, m)
 
 
 def configuration_count_B(partition: IntegerPartition, n: int) -> int:

@@ -11,11 +11,9 @@ independently of evaluation order or worker count.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -44,15 +42,6 @@ class Ensemble:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
-
-    def to_config(self) -> dict:
-        if self.provenance.get("kind") == "random":
-            return {
-                "n": self.n,
-                "seed": self.provenance["seed"],
-                "distribution": self.provenance["distribution"],
-            }
-        return {"positions": self.positions.tolist()}
 
 
 def structure_factor(ensemble: Ensemble, k) -> complex:
@@ -135,94 +124,6 @@ def random_cloud(
     )
 
 
-def cloud_factory(n: int, seed: int, distribution="uniform-cube") -> Callable[[int], Ensemble]:
-    """Realization index -> deterministic cloud, safe under parallel maps."""
-
-    def make(realization: int) -> Ensemble:
-        return random_cloud(n, seed, distribution, realization=realization)
-
-    return make
-
-
-def speckle_moments(make_cloud: Callable[[int], Ensemble], k, realizations: int) -> dict:
-    """Sample means (with standard errors) of the speckle moments used by the
-    off-axis expansions: |S(k)|^2, |S(k)|^4, |S(2k)|^2 and S(2k) S(-k)^2.
-    """
-    if realizations < 1:
-        raise ValueError("need at least one realization")
-    k = np.asarray(k, dtype=float)
-    s2 = np.empty(realizations)
-    s4 = np.empty(realizations)
-    s2k = np.empty(realizations)
-    cross = np.empty(realizations, dtype=complex)
-    for r in range(realizations):
-        ens = make_cloud(r)
-        s_k = structure_factor(ens, k)
-        s_2k = structure_factor(ens, 2.0 * k)
-        a2 = abs(s_k) ** 2
-        s2[r] = a2
-        s4[r] = a2 * a2
-        s2k[r] = abs(s_2k) ** 2
-        cross[r] = s_2k * s_k.conjugate() ** 2
-
-    def _mean_se(x):
-        mean = x.mean()
-        if realizations == 1:
-            return mean, 0.0
-        se = x.std(ddof=1) / math.sqrt(realizations)
-        return mean, se
-
-    out = {}
-    out["abs_S_sq"], out["abs_S_sq_se"] = _mean_se(s2)
-    out["abs_S_4th"], out["abs_S_4th_se"] = _mean_se(s4)
-    out["abs_S2k_sq"], out["abs_S2k_sq_se"] = _mean_se(s2k)
-    mean = cross.mean()
-    if realizations == 1:
-        se = 0.0
-    else:
-        se = math.sqrt(
-            cross.real.std(ddof=1) ** 2 + cross.imag.std(ddof=1) ** 2
-        ) / math.sqrt(realizations)
-    out["S2k_Smk_sq"], out["S2k_Smk_sq_se"] = mean, se
-    out["realizations"] = realizations
-    return out
-
-
-@dataclass(frozen=True)
-class DirectionSet:
-    """Ordered observation wave vectors for one correlator evaluation.
-
-    The first ``n_minus`` rows feed negative-frequency (E-) slots, the rest
-    positive-frequency (E+) slots; vectors are in units of 2 pi / lambda.
-    """
-
-    vectors: np.ndarray  # (n_minus + n_plus, 3)
-    n_minus: int
-
-    def __post_init__(self):
-        vecs = np.ascontiguousarray(np.atleast_2d(np.asarray(self.vectors, dtype=float)))
-        if vecs.ndim != 2 or vecs.shape[1] != 3:
-            raise ValueError("direction vectors must have shape (n_slots, 3)")
-        if not 0 <= self.n_minus <= vecs.shape[0]:
-            raise ValueError("minus-slot count outside the vector list")
-        vecs.flags.writeable = False
-        object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def n_plus(self) -> int:
-        return self.vectors.shape[0] - self.n_minus
-
-    def minus(self) -> np.ndarray:
-        return self.vectors[: self.n_minus]
-
-    def plus(self) -> np.ndarray:
-        return self.vectors[self.n_minus :]
-
-    @classmethod
-    def forward(cls, n_minus: int, n_plus: int) -> "DirectionSet":
-        return cls(vectors=np.zeros((n_minus + n_plus, 3)), n_minus=n_minus)
-
-
 def forward_directions(n_slots: int) -> np.ndarray:
     """All observation vectors along the drive axis: k = 0 after absorbing k_L."""
     return np.zeros((n_slots, 3))
@@ -250,11 +151,3 @@ def ensemble_from_config(cfg: dict) -> Ensemble:
     distribution = cfg.get("distribution", "uniform-cube")
     realization = int(cfg.get("realization", 0))
     return random_cloud(n, seed, distribution, realization=realization)
-
-
-def export_positions_csv(ensemble: Ensemble, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "z"])
-        for row in ensemble.positions:
-            writer.writerow([repr(float(v)) for v in row])

@@ -17,11 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .classical import (
-    classical_exact_G,
     classical_forward_g,
     classical_forward_g_unequal,
     classical_intensity,
-    classical_intensity_at,
     classical_mc_G,
 )
 from .config import ResultTable, ScenarioConfig, as_grid, as_int
@@ -44,14 +42,14 @@ from .gmt import (
 from .quantum import (
     CorrelationOrder,
     autocorrelation_sums,
+    closed_form_range,
     correlate,
     correlate_forward,
     deviation_coh_forward_ratio,
     forward_g_equal_ratio,
     forward_g_unequal_ratio_abs,
-    intensity,
-    normalize,
-    oracle_G,
+    oracle_g,
+    slot_table,
 )
 from .states import (
     ClassicalEmitterModel,
@@ -232,10 +230,7 @@ def run_correlate(cfg: ScenarioConfig, validate: bool = False, threads: int = 1)
             g_re=result.value.real, g_im=result.value.imag, g_abs=abs(result.value),
         )
         if validate and point.nat**order.total <= ORACLE_VALIDATE_GUARD:
-            ensemble = point.ensemble
-            reference = oracle_G(state, ensemble, order, dirs)
-            ints = [intensity(state, ensemble, k) for k in dirs]
-            oracle_value = normalize(reference, ints)
+            oracle_value = oracle_g(state, point.ensemble, order, dirs)
             denom = max(abs(oracle_value), abs(result.value), 1e-300)
             cells.update(
                 oracle_re=oracle_value.real,
@@ -282,25 +277,26 @@ def run_classical(cfg: ScenarioConfig, threads: int = 1):
             e_incoh=model.e_incoh, ratio=model.ratio, preset=preset,
             seed=cfg.seed, realization=point.real,
         )
+        unit = model.unit()  # g is scale-free; the Monte Carlo runs at O(1) amplitudes
         if not np.any(dirs):
-            if order.equal_order:
-                g = complex(classical_forward_g(model, point.nat, order.m))
-            elif order.m > order.n:
-                g = classical_forward_g_unequal(model, point.nat, order.m, order.n)
-            else:
-                g = classical_forward_g_unequal(model, point.nat, order.n, order.m).conjugate()
+            with closed_form_range(point.nat, order.x):
+                if order.equal_order:
+                    g = complex(classical_forward_g(unit, point.nat, order.m))
+                elif order.m > order.n:
+                    g = classical_forward_g_unequal(unit, point.nat, order.m, order.n)
+                else:
+                    g = classical_forward_g_unequal(unit, point.nat, order.n, order.m).conjugate()
+                norm = classical_intensity(unit, point.nat) ** (0.5 * order.total)
             method = "classical-forward"
-            norm = classical_intensity(model, point.nat) ** (0.5 * order.total)
         else:
-            raw = classical_exact_G(model, point.ensemble, order, dirs)
-            ints = [classical_intensity_at(model, point.ensemble, k) for k in dirs]
-            g = normalize(raw, ints)
+            slots = slot_table(point.ensemble, order, dirs)
+            g = slots.g(unit)[1]
             method = "classical-exact"
-            norm = math.prod(math.sqrt(v) for v in ints)
+            norm = math.prod(math.sqrt(v) for v in slots.intensities(unit))
         cells.update(method=method, g_re=g.real, g_im=g.imag, g_abs=abs(g))
         if cfg.samples:
             mc = classical_mc_G(
-                model, point.ensemble, order, dirs, samples=cfg.samples, seed=cfg.seed
+                unit, point.ensemble, order, dirs, samples=cfg.samples, seed=cfg.seed
             )
             cells.update(
                 mc_re=mc.estimate.real / norm, mc_im=mc.estimate.imag / norm,
@@ -497,13 +493,14 @@ def run_figure(
             columns=["n_atoms", "r_inv", "ratio", "g2", "nr_squared", "method"]
         )
         for nat in params["n_grid"]:
-            for r_inv in params["r_inv_grid"]:
-                r = 1.0 / r_inv
-                table.append(
-                    n_atoms=nat, r_inv=r_inv, ratio=r,
-                    g2=forward_g_equal_ratio(nat, 2, r),
-                    nr_squared=(nat * r) ** 2, method="forward-closed-form",
-                )
+            with closed_form_range(nat, 2):
+                for r_inv in params["r_inv_grid"]:
+                    r = 1.0 / r_inv
+                    table.append(
+                        n_atoms=nat, r_inv=r_inv, ratio=r,
+                        g2=forward_g_equal_ratio(nat, 2, r),
+                        nr_squared=(nat * r) ** 2, method="forward-closed-form",
+                    )
         return table, {"figure": figure_id}
 
     if figure_id == "fig2":
@@ -516,16 +513,17 @@ def run_figure(
         )
         for m in params["m_values"]:
             fact = math.factorial(m) * m * (m - 1)
-            for r_inv in params["r_inv_grid"]:
-                r = 1.0 / r_inv
-                table.append(
-                    m=m, n_atoms=nat, r_inv=r_inv, ratio=r,
-                    delta_coh_abs=abs(deviation_coh_forward_ratio(nat, m, r)),
-                    linear_term=fact * r,
-                    quadratic_term=0.25 * fact * nat**2 * r**2,
-                    crossover_ratio=crossover_ratio(nat),
-                    method="forward-closed-form",
-                )
+            with closed_form_range(nat, m):
+                for r_inv in params["r_inv_grid"]:
+                    r = 1.0 / r_inv
+                    table.append(
+                        m=m, n_atoms=nat, r_inv=r_inv, ratio=r,
+                        delta_coh_abs=abs(deviation_coh_forward_ratio(nat, m, r)),
+                        linear_term=fact * r,
+                        quadratic_term=0.25 * fact * nat**2 * r**2,
+                        crossover_ratio=crossover_ratio(nat),
+                        method="forward-closed-form",
+                    )
         return table, {"figure": figure_id}
 
     if figure_id == "fig3":
@@ -568,12 +566,13 @@ def run_figure(
     )
     for m, n in params["orders"]:
         order = CorrelationOrder(m, n)
-        for r_inv in params["r_inv_grid"]:
-            r = 1.0 / r_inv
-            table.append(
-                m=m, n=n, n_atoms=nat, r_inv=r_inv, ratio=r,
-                g_abs=forward_g_unequal_ratio_abs(nat, m, n, r),
-                leading_pred=leading_unequal(nat, r, order),
-                sqrt_r=math.sqrt(r), r=r, method="forward-closed-form",
-            )
+        with closed_form_range(nat, order.x):
+            for r_inv in params["r_inv_grid"]:
+                r = 1.0 / r_inv
+                table.append(
+                    m=m, n=n, n_atoms=nat, r_inv=r_inv, ratio=r,
+                    g_abs=forward_g_unequal_ratio_abs(nat, m, n, r),
+                    leading_pred=leading_unequal(nat, r, order),
+                    sqrt_r=math.sqrt(r), r=r, method="forward-closed-form",
+                )
     return table, {"figure": figure_id}

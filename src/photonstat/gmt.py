@@ -23,14 +23,7 @@ import numpy as np
 from .combinatorics import binomial, enumerate_pair_partitions, falling_factorial
 from .ensemble import Ensemble, structure_factor
 from .errors import ZeroIntensityError
-from .quantum import (
-    AutocorrelationSums,
-    CorrelationOrder,
-    _as_directions,
-    autocorrelation_sums,
-    deviation_coh_forward_ratio,
-    slot_table,
-)
+from .quantum import AutocorrelationSums, CorrelationOrder, _as_directions, slot_table
 from .states import SingleAtomState
 
 DEFAULT_MARGIN_POLICY = 0.1  # "much less than one" reported as ratio < policy
@@ -354,10 +347,7 @@ def deviation_coh_autocorrelation(
     if not 1 <= m <= sums.m_max:
         raise ValueError(f"order {m} outside 1..{sums.m_max} of the power-sum table")
     nat = sums.n
-    f = state.fluctuation
-    c2 = abs(state.coherence) ** 2
-    scale = max(f, c2)
-    u, v = (f / scale, c2 / scale) if scale > 0.0 else (0.0, 0.0)
+    _, u, v = state.scaled_powers()
     denom = u * nat + v * sums.abs_s2
     if not denom > 0.0:
         raise ZeroIntensityError(
@@ -376,40 +366,3 @@ def deviation_coh_autocorrelation(
         )
         total += a ** (m - t) * v**t * bracket
     return math.factorial(m) ** 2 * total / denom**m
-
-
-def deviation_coh_equal_directions(
-    state: SingleAtomState, ensemble: Ensemble, order: CorrelationOrder, k
-) -> complex:
-    """Spin-coherence deviation for an autocorrelation (all slots at one k).
-
-    Builds the power sums of ``ensemble`` along ``k`` and evaluates
-    :func:`deviation_coh_autocorrelation`; to evaluate many states or orders
-    on one cloud, build :func:`photonstat.quantum.autocorrelation_sums` once.
-    """
-    if not order.equal_order:
-        raise ValueError("equal-direction shortcut applies to m = n")
-    sums = autocorrelation_sums(ensemble, k, order.m)
-    return complex(deviation_coh_autocorrelation(state, sums, order.m))
-
-
-def locate_crossover(nat: int, m: int, r_lo: float = None, r_hi: float = None) -> float:
-    """R where the local log-log slope of |delta_coh(0)| passes 1.5.
-
-    Scans a dense log grid bracketing 4/N^2 and interpolates the slope
-    change; confirms the analytic crossover estimate.
-    """
-    guess = crossover_ratio(nat)
-    lo = r_lo if r_lo is not None else guess / 100.0
-    hi = r_hi if r_hi is not None else guess * 100.0
-    grid = np.geomspace(lo, hi, 241)
-    vals = np.array([deviation_coh_forward_ratio(nat, m, r) for r in grid])
-    logs = np.log(np.abs(vals))
-    logr = np.log(grid)
-    slopes = np.diff(logs) / np.diff(logr)
-    mid = np.sqrt(grid[:-1] * grid[1:])
-    for i in range(len(slopes) - 1):
-        if (slopes[i] - 1.5) * (slopes[i + 1] - 1.5) <= 0.0:
-            t = (1.5 - slopes[i]) / (slopes[i + 1] - slopes[i])
-            return float(mid[i] ** (1 - t) * mid[i + 1] ** t)
-    raise ValueError("no slope crossover found in the scanned range")

@@ -1,16 +1,23 @@
-"""Normalized correlation functions g^(m,n) for independent two-level emitters.
+"""Normalized correlation functions g^(m,n) for independent emitters.
+
+An emitter is a two-level state or a classical oscillator; both enter
+through their single-emitter moment table w(a, b) and their incoherent and
+coherent powers (``moment_table`` and ``scaled_powers`` in
+:mod:`photonstat.states`), taken in units of s = max(incoherent power,
+coherent power) so that faint emitters do not underflow.
 
 Three exact evaluation paths, trusted against each other:
 
 * ``oracle_G``: brute-force sum over all index tuples.  Feasible only for
   tiny systems; it is the reference everything else is tested against.
-* ``multilinear_G``: the same sum as a cumulant (set-partition) expansion
+* ``SlotTable.g``: the same sum as a cumulant (set-partition) expansion
   over the structure factors of the 2^(m+n) slot subsets, built once per
-  cloud and directions (``slot_table``, :mod:`photonstat.kernels`).  Cost
-  O(N 2^(m+n)) plus O(3^(m+n)) per state; this path reaches N = 10^4.
+  cloud and directions (``slot_table``, :mod:`photonstat.kernels`), for
+  either emitter.  Cost O(N 2^(m+n)) plus O(3^(m+n)) per emitter; this path
+  reaches N = 10^4.
 * ``forward_G_equal`` / ``forward_G_unequal``: closed-form binomial sums for
-  all observation vectors equal to zero (forward direction), with exact
-  integer coefficients.
+  two-level atoms with all observation vectors equal to zero (forward
+  direction), with exact integer coefficients.
 
 For an autocorrelation (every slot at one k) ``autocorrelation_G`` needs only
 the power sums S(d k), d <= m: ``autocorrelation_sums`` computes them once
@@ -24,17 +31,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .combinatorics import binomial
-from .ensemble import DirectionSet, Ensemble, phase_matrix, structure_factor
+from .combinatorics import DEFAULT_ORDER_CAP, binomial
+from .ensemble import Ensemble, phase_matrix, structure_factor
 from .errors import CapacityError, ZeroIntensityError
-from .states import SingleAtomState
+from .states import Emitter, SingleAtomState
 
-DEFAULT_ORDER_CAP = 8
 ORACLE_TUPLE_GUARD = 10**8
 
 
@@ -50,10 +57,6 @@ class CorrelationOrder:
             raise ValueError("orders must be non-negative")
         if self.m + self.n < 1:
             raise ValueError("m + n must be at least 1")
-
-    @property
-    def alpha(self) -> int:
-        return min(self.m, self.n)
 
     @property
     def x(self) -> int:
@@ -82,8 +85,6 @@ class CorrelationResult:
 
 
 def _as_directions(directions, n_slots: int) -> np.ndarray:
-    if isinstance(directions, DirectionSet):
-        directions = directions.vectors
     arr = np.atleast_2d(np.asarray(directions, dtype=float))
     if arr.shape != (n_slots, 3):
         raise ValueError(f"need {n_slots} direction vectors of length 3, got {arr.shape}")
@@ -159,19 +160,10 @@ class _ChunkedSum:
         )
 
 
-def oracle_G(
-    state: SingleAtomState,
-    ensemble: Ensemble,
-    order: CorrelationOrder,
-    directions,
-    tuple_guard: int = ORACLE_TUPLE_GUARD,
+def _oracle_sum(
+    emitter: Emitter, ensemble: Ensemble, order: CorrelationOrder, dirs, tuple_guard: int
 ) -> complex:
-    """Brute-force G over all index tuples (mu_1..mu_m, nu_1..nu_n).
-
-    The per-atom normally-ordered moment is 1, <s+>, <s->, or <s+ s->
-    depending on how many raising/lowering operators land on the atom, and
-    zero as soon as any atom carries two of the same kind.
-    """
+    """The tuple sum of ``oracle_G`` in units of s^((m+n)/2)."""
     m, n = order.m, order.n
     nat = ensemble.n
     if nat**order.total > tuple_guard:
@@ -179,13 +171,10 @@ def oracle_G(
             f"oracle would visit {nat ** order.total} index tuples "
             f"(guard {tuple_guard}); use multilinear_G"
         )
-    dirs = _as_directions(directions, order.total)
     ph = phase_matrix(ensemble, dirs)
     minus_ph = [list(ph[:, i]) for i in range(m)]
     plus_ph = [list(np.conj(ph[:, m + j])) for j in range(n)]
-    cplus = state.coherence_plus
-    cminus = state.coherence
-    pop = state.population
+    w = emitter.moment_table(m, n).tolist()
 
     raising = [0] * nat
     lowering = [0] * nat
@@ -198,16 +187,9 @@ def oracle_G(
                 lowering[a] += 1
             moment = 1.0 + 0.0j
             for atom in set(mus).union(nus):
-                na, nb = raising[atom], lowering[atom]
-                if na > 1 or nb > 1:
-                    moment = 0.0
+                moment *= w[raising[atom]][lowering[atom]]
+                if moment == 0.0:
                     break
-                if na and nb:
-                    moment *= pop
-                elif na:
-                    moment *= cplus
-                else:
-                    moment *= cminus
             if moment != 0.0:
                 term = moment
                 for i, a in enumerate(mus):
@@ -222,21 +204,34 @@ def oracle_G(
     return acc.total()
 
 
-def _two_level_table(state: SingleAtomState, order: CorrelationOrder, scale: float = 1.0):
-    """w(a, b) / scale^((a+b)/2); w is 1, <s+>, <s->, <s+ s->, zero for a or b > 1."""
-    c = state.coherence / math.sqrt(scale)
-    moments = np.array([[1.0, c], [c.conjugate(), state.population / scale]], dtype=complex)
-    table = np.zeros((order.m + 1, order.n + 1), dtype=complex)
-    table[:2, :2] = moments[: order.m + 1, : order.n + 1]
-    return table
+def oracle_G(
+    emitter: Emitter,
+    ensemble: Ensemble,
+    order: CorrelationOrder,
+    directions,
+    tuple_guard: int = ORACLE_TUPLE_GUARD,
+) -> complex:
+    """Brute-force G over all index tuples (mu_1..mu_m, nu_1..nu_n).
+
+    Each atom contributes its moment w(a, b) for the a raising and b lowering
+    operators that land on it: for a two-level atom 1, <s+>, <s->, or
+    <s+ s->, and zero as soon as it carries two of the same kind.
+    """
+    dirs = _as_directions(directions, order.total)
+    scaled = _oracle_sum(emitter, ensemble, order, dirs, tuple_guard)
+    return scaled * emitter.scaled_powers()[0] ** order.total
 
 
-def _scaled_moments(state: SingleAtomState) -> tuple[float, float, float]:
-    """(s, f / s, |c|^2 / s) with s = max(f, |c|^2), or s = 1 for a dark state."""
-    f = state.fluctuation
-    c2 = abs(state.coherence) ** 2
-    scale = max(f, c2) or 1.0
-    return scale, f / scale, c2 / scale
+def oracle_g(emitter: Emitter, ensemble: Ensemble, order: CorrelationOrder, directions) -> complex:
+    """``oracle_G`` normalized by intensities from ``structure_factor``.
+
+    The tuple sum and the intensities are both taken in units of s, so faint
+    states do not underflow to 0 / 0.
+    """
+    dirs = _as_directions(directions, order.total)
+    _, f, c2 = emitter.scaled_powers()
+    ints = [f * ensemble.n + c2 * abs(structure_factor(ensemble, k)) ** 2 for k in dirs]
+    return normalize(_oracle_sum(emitter, ensemble, order, dirs, ORACLE_TUPLE_GUARD), ints)
 
 
 @dataclass(frozen=True)
@@ -245,48 +240,60 @@ class SlotTable:
 
     Minus slot i adds +k_i to K_T and plus slot j adds -k_j: ``values[0]`` is
     N, ``values[1 << i]`` is S(+-k_i), and a minus slot i with a plus slot j
-    give S(k_i - k_j).  One table serves every state and moment table.
+    give S(k_i - k_j).  One table serves every emitter, quantum or classical.
     """
 
     order: CorrelationOrder
     n: int
     values: np.ndarray
 
-    def G(self, table: np.ndarray) -> complex:
-        """G from the single-emitter moment table ``table[a, b]``."""
-        return kernels.partition_sum(table, self.values, self.order.m)
+    def _scaled_G(self, emitter: Emitter) -> complex:
+        """G / s^((m+n)/2) from the emitter's moment table.
 
-    def intensities(self, f: float, c2: float) -> list[float]:
-        """f N + |c|^2 |S(k_i)|^2 for every slot i."""
+        A two-level atom serves at most one slot of each kind, so
+        max(m, n) > N gives exactly 0; a classical oscillator serves any number.
+        """
+        order = self.order
+        if isinstance(emitter, SingleAtomState) and order.x > self.n:
+            return 0j
+        return kernels.partition_sum(
+            emitter.moment_table(order.m, order.n), self.values, order.m
+        )
+
+    def G(self, emitter: Emitter) -> complex:
+        """G of a two-level state or a classical model."""
+        return self._scaled_G(emitter) * emitter.scaled_powers()[0] ** self.order.total
+
+    def intensities(self, emitter: Emitter) -> list[float]:
+        """f N + |c|^2 |S(k_i)|^2 for every slot i, in units of s."""
+        _, f, c2 = emitter.scaled_powers()
         return [f * self.n + c2 * abs(self.values[1 << i]) ** 2 for i in range(self.order.total)]
 
-    def g(self, state: SingleAtomState) -> tuple[complex, complex]:
-        """(G, g) of a two-level state; G is exactly 0 when max(m, n) > N.
+    def g(self, emitter: Emitter) -> tuple[complex, complex]:
+        """(G, g) of a two-level state or a classical model.
 
-        g comes from w(a, b) / s^((a+b)/2) with s = max(f, |c|^2): g does not
-        change, and faint states do not underflow to 0 / 0.
+        g comes from G and the intensities in units of s: g does not change,
+        and faint emitters do not underflow to 0 / 0.
         """
-        scale, f, c2 = _scaled_moments(state)
-        order = self.order
-        raw = 0j if order.x > self.n else self.G(_two_level_table(state, order, scale))
-        value = normalize(raw, self.intensities(f, c2))
-        return raw * scale ** (order.total / 2), value
+        scaled = self._scaled_G(emitter)
+        root = emitter.scaled_powers()[0]
+        return scaled * root**self.order.total, normalize(scaled, self.intensities(emitter))
 
     def g1(self, state: SingleAtomState):
         """g^(1)(k_i, k_j) of minus slot i and plus slot j, as a callable (i, j)."""
-        _, f, c2 = _scaled_moments(state)
-        ints, s = self.intensities(f, c2), self.values
+        _, f, c2 = state.scaled_powers()
+        ints, s = self.intensities(state), self.values
         return lambda i, j: normalize(
             f * s[1 << i | 1 << j] + c2 * s[1 << i] * s[1 << j], (ints[i], ints[j])
         )
 
 
-def slot_table(
-    ensemble: Ensemble, order: CorrelationOrder, directions, cap: int = DEFAULT_ORDER_CAP
-) -> SlotTable:
-    """The structure factors of every slot subset; m + n is capped at ``cap``."""
-    if order.total > cap:
-        raise CapacityError(f"multilinear path capped at m + n <= {cap}, got {order.total}")
+def slot_table(ensemble: Ensemble, order: CorrelationOrder, directions) -> SlotTable:
+    """The structure factors of every slot subset; m + n is capped at DEFAULT_ORDER_CAP."""
+    if order.total > DEFAULT_ORDER_CAP:
+        raise CapacityError(
+            f"multilinear path capped at m + n <= {DEFAULT_ORDER_CAP}, got {order.total}"
+        )
     values = kernels.structure_factor_table(
         ensemble.positions, _as_directions(directions, order.total), order.m
     )
@@ -294,21 +301,14 @@ def slot_table(
 
 
 def multilinear_G(
-    state: SingleAtomState,
-    ensemble: Ensemble,
-    order: CorrelationOrder,
-    directions,
-    cap: int = DEFAULT_ORDER_CAP,
+    state: SingleAtomState, ensemble: Ensemble, order: CorrelationOrder, directions
 ) -> complex:
     """Exact G from the structure factors of the slot subsets and the cumulants.
 
     Equivalent to ``oracle_G`` term by term (see :mod:`photonstat.kernels`), at
-    cost O(N 2^(m+n)) instead of O(N^(m+n)).  A two-level atom serves at most
-    one slot of each kind, so max(m, n) > N gives exactly 0.
+    cost O(N 2^(m+n)) instead of O(N^(m+n)); max(m, n) > N gives exactly 0.
     """
-    if order.x > ensemble.n and order.total <= cap:  # over the cap still raises
-        return 0j
-    return slot_table(ensemble, order, directions, cap).G(_two_level_table(state, order))
+    return slot_table(ensemble, order, directions).G(state)
 
 
 @dataclass(frozen=True)
@@ -424,9 +424,12 @@ def forward_G_equal(state: SingleAtomState, nat: int, m: int) -> float:
     """G^(m)(0,...,0) from the closed binomial double sum."""
     if m < 1 or nat < 1:
         raise ValueError("orders and atom counts must be positive")
+    return _forward_equal(nat, m, state.population, abs(state.coherence) ** 2)
+
+
+def _forward_equal(nat: int, m: int, p: float, c2: float) -> float:
+    """sum_j a_j p^j |c|^(2(m-j))."""
     a = _forward_equal_a(nat, m)
-    p = state.population
-    c2 = abs(state.coherence) ** 2
     return float(sum(aj * p**j * c2 ** (m - j) for j, aj in enumerate(a)))
 
 
@@ -492,13 +495,16 @@ def forward_G_unequal(state: SingleAtomState, nat: int, m: int, n: int) -> compl
     """G^(m,n)(0,...,0) for m != n via the single-j binomial sum."""
     if m == n:
         raise ValueError("use forward_G_equal for m == n")
+    return _forward_unequal(nat, m, n, state.fluctuation, state.coherence)
+
+
+def _forward_unequal(nat: int, m: int, n: int, f: float, c: complex) -> complex:
+    """The m != n forward sum from f and c = <s->; m < n is the conjugate of n, m."""
     if m < n:
-        swapped = forward_G_unequal(state, nat, n, m)
-        return swapped.conjugate()
+        return _forward_unequal(nat, n, m, f, c).conjugate()
     c2 = _forward_unequal_c2(nat, m, n)
-    f = state.fluctuation
-    cp = state.coherence_plus
-    cm = state.coherence
+    cp = c.conjugate()
+    cm = c
     total = 0.0 + 0.0j
     for j in range(n + 1):
         inner = 0.0 + 0.0j
@@ -532,29 +538,43 @@ def forward_intensity(state: SingleAtomState, nat: int) -> float:
     return nat * state.population + nat * (nat - 1) * c2
 
 
+@contextmanager
+def closed_form_range(nat: int, m: int):
+    """Report a closed form whose terms leave the float range as a CapacityError."""
+    try:
+        yield
+    except OverflowError:
+        raise CapacityError(
+            f"closed form at N = {nat}, m = {m} leaves the float range"
+        ) from None
+
+
 def correlate_forward(state: SingleAtomState, nat: int, order: CorrelationOrder):
-    """CorrelationResult with every k = 0 from the closed forms, which need only N."""
-    if order.equal_order:
-        raw = complex(forward_G_equal(state, nat, order.m))
-    else:
-        raw = forward_G_unequal(state, nat, order.m, order.n)
-    ints = [forward_intensity(state, nat)] * order.total
+    """CorrelationResult with every k = 0 from the closed forms, which need only N.
+
+    The sums run on the moments in units of s = max(f, |c|^2), like
+    ``SlotTable.g``, so faint states do not underflow.
+    """
+    root, f, c2 = state.scaled_powers()
+    with closed_form_range(nat, order.x):
+        if order.equal_order:
+            scaled = complex(_forward_equal(nat, order.m, f + c2, c2))
+        else:
+            scaled = _forward_unequal(nat, order.m, order.n, f, state.coherence / root)
+        ints = [nat * (f + c2) + nat * (nat - 1) * c2] * order.total
+        value = normalize(scaled, ints)
     return CorrelationResult(
-        raw=raw, value=normalize(raw, ints), method="forward-closed-form", order=order,
-        directions=np.zeros((order.total, 3)),
+        raw=scaled * root**order.total, value=value, method="forward-closed-form",
+        order=order, directions=np.zeros((order.total, 3)),
     )
 
 
 def correlate(
-    state: SingleAtomState,
-    ensemble: Ensemble,
-    order: CorrelationOrder,
-    directions,
-    cap: int = DEFAULT_ORDER_CAP,
+    state: SingleAtomState, ensemble: Ensemble, order: CorrelationOrder, directions
 ) -> CorrelationResult:
     """Raw plus normalized g: closed forms when every k is 0, else the engine."""
     dirs = _as_directions(directions, order.total)
     if not np.any(dirs):
         return correlate_forward(state, ensemble.n, order)
-    raw, value = slot_table(ensemble, order, dirs, cap).g(state)
+    raw, value = slot_table(ensemble, order, dirs).g(state)
     return CorrelationResult(raw, value, method="multilinear", order=order, directions=dirs)

@@ -7,6 +7,12 @@ R = |c|^2 / f controls every deviation from Gaussian statistics.  The
 classical counterpart is a fixed coherent amplitude plus an
 incoherent amplitude with a uniformly random phase per emitter.
 
+Both kinds hand the correlator engine the same two things: the
+single-emitter moment table w(a, b) for a minus and b plus slots
+(``moment_table``) and the incoherent and coherent powers
+(``scaled_powers``), both in units of s = max(incoherent, coherent power),
+so faint emitters do not underflow.
+
 A plane-wave drive phase never appears here: it can be absorbed into the
 observation wave vectors, so states are position- and phase-free.
 """
@@ -15,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _POSITIVITY_SLACK = 1e-12
 
@@ -67,10 +75,27 @@ class SingleAtomState:
             return math.inf if c2 > 0.0 else 0.0
         return c2 / f
 
-    @property
-    def is_dark(self) -> bool:
-        """True when the atom emits nothing (p = 0); correlators reject these."""
-        return self.population == 0.0
+    def _scale(self) -> float:
+        """s = max(f, |c|^2), or 1 for a dark state."""
+        return max(self.fluctuation, abs(self.coherence) ** 2) or 1.0
+
+    def scaled_powers(self) -> tuple[float, float, float]:
+        """(sqrt(s), f / s, |c|^2 / s): the incoherent and coherent powers in units of s."""
+        s = self._scale()
+        return math.sqrt(s), self.fluctuation / s, abs(self.coherence) ** 2 / s
+
+    def moment_table(self, m: int, n: int) -> np.ndarray:
+        """w(a, b) / s^((a+b)/2) for a <= m minus and b <= n plus slots.
+
+        w is 1, <s+>, <s->, <s+ s->, and zero once a or b exceeds 1: an atom
+        serves at most one slot of each kind.
+        """
+        s = self._scale()
+        c = self.coherence / math.sqrt(s)
+        moments = np.array([[1.0, c], [c.conjugate(), self.population / s]], dtype=complex)
+        table = np.zeros((m + 1, n + 1), dtype=complex)
+        table[:2, :2] = moments[: m + 1, : n + 1]
+        return table
 
     def coherence_zeroed(self) -> "SingleAtomState":
         """Same fluctuation, zero coherence: p' = f, c' = 0.
@@ -79,14 +104,6 @@ class SingleAtomState:
         GMT deviation.
         """
         return SingleAtomState(population=self.fluctuation, coherence=0.0)
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "moments",
-            "p": self.population,
-            "c_re": self.coherence.real,
-            "c_im": self.coherence.imag,
-        }
 
 
 def pulse_state(theta: float) -> SingleAtomState:
@@ -165,20 +182,50 @@ class ClassicalEmitterModel:
 
     @property
     def ratio(self) -> float:
-        """R = |E_coh|^2 / |E_incoh|^2."""
-        c2 = abs(self.e_coh) ** 2
-        i2 = self.e_incoh**2
-        if i2 == 0.0:
-            return math.inf if c2 > 0.0 else 0.0
-        return c2 / i2
+        """R = (|E_coh| / E_incoh)^2, which faint amplitudes do not underflow."""
+        if self.e_incoh == 0.0:
+            return math.inf if self.e_coh else 0.0
+        return (abs(self.e_coh) / self.e_incoh) ** 2
 
-    def to_config(self) -> dict:
-        return {
-            "kind": "classical",
-            "e_coh_re": self.e_coh.real,
-            "e_coh_im": self.e_coh.imag,
-            "e_incoh": self.e_incoh,
-        }
+    def _amplitude(self) -> float:
+        """a = max(|E_coh|, E_incoh), or 1 when both vanish; s = a^2."""
+        return max(abs(self.e_coh), self.e_incoh) or 1.0
+
+    def unit(self) -> "ClassicalEmitterModel":
+        """The model with both amplitudes divided by a.
+
+        Normalized correlators do not change, and faint amplitudes give O(1)
+        powers instead of underflowing.
+        """
+        a = self._amplitude()
+        return ClassicalEmitterModel(e_coh=self.e_coh / a, e_incoh=self.e_incoh / a)
+
+    def scaled_powers(self) -> tuple[float, float, float]:
+        """(a, |E_incoh|^2 / a^2, |E_coh|^2 / a^2): the two powers in units of s = a^2."""
+        unit = self.unit()
+        return self._amplitude(), unit.e_incoh**2, abs(unit.e_coh) ** 2
+
+    def moment_table(self, m: int, n: int) -> np.ndarray:
+        """Phase-averaged w(a, b) / a^(a+b) for a <= m minus and b <= n plus slots.
+
+        w(a, b) = sum_t C(a,t) C(b,t) |E_incoh|^(2t) E_coh*^(a-t) E_coh^(b-t);
+        only balanced incoherent powers survive the phase average, and the
+        table is conjugate-symmetric under swapping a and b.
+        """
+        unit = self.unit()
+        ec, ei2 = unit.e_coh, unit.e_incoh**2
+        table = np.zeros((m + 1, n + 1), dtype=complex)
+        for a in range(m + 1):
+            for b in range(n + 1):
+                table[a, b] = sum(
+                    math.comb(a, t) * math.comb(b, t) * ei2**t
+                    * ec.conjugate() ** (a - t) * ec ** (b - t)
+                    for t in range(min(a, b) + 1)
+                )
+        return table
+
+
+Emitter = SingleAtomState | ClassicalEmitterModel
 
 
 def classical_model_for_ratio(r: float, e_incoh: float = 1.0) -> ClassicalEmitterModel:

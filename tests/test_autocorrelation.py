@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 from photonstat.combinatorics import binomial
 from photonstat.ensemble import Ensemble, equal_directions, off_axis_direction, random_cloud
 from photonstat.errors import ZeroIntensityError
-from photonstat.gmt import (
-    deviation,
-    deviation_coh_autocorrelation,
-    deviation_coh_equal_directions,
-)
+from photonstat.gmt import deviation, deviation_coh_autocorrelation
 from photonstat.quantum import (
     CorrelationOrder,
     autocorrelation_G,
@@ -136,7 +132,7 @@ class TestDeviation:
         ens = random_cloud(30, seed=43)
         k = off_axis_direction(0.3)
         with pytest.raises(ZeroIntensityError):
-            deviation_coh_equal_directions(pulse_state(0.0), ens, CorrelationOrder.equal(2), k)
+            deviation_coh_autocorrelation(pulse_state(0.0), autocorrelation_sums(ens, k, 2), 2)
 
     def test_inverted_state_has_no_coherence_deviation(self):
         ens = random_cloud(30, seed=44)
@@ -151,7 +147,7 @@ class TestDeviation:
         k = off_axis_direction(0.8)
         state = driven_steady_state(s)
         order = CorrelationOrder.equal(m)
-        fast = deviation_coh_equal_directions(state, ens, order, k)
+        fast = deviation_coh_autocorrelation(state, autocorrelation_sums(ens, k, m), m)
         report = deviation(state, ens, order, equal_directions(k, 2 * m))
         assert fast == pytest.approx(report.delta_coh, rel=1e-9, abs=1e-13)
 

@@ -322,29 +322,75 @@ class TestCliProcess:
     @pytest.mark.parametrize("command", ["correlate", "deviation"])
     def test_faint_state_rows_match_bright(self, tmp_path, command):
         # with c = 0 the state enters g only through its scale, so p = 1e-200
-        # must give the p = 0.5 values; p = 0 is dark
-        rows = {}
-        for p in (0.5, 1e-200, 0.0):
+        # must give the p = 0.5 values, oracle columns included; p = 0 is dark
+        flags = ["--validate"] if command == "correlate" else []
+        for preset in ("off-axis", "forward"):
+            rows = {}
+            for p in (0.5, 1e-200, 0.0):
+                cfg = write_config(
+                    tmp_path,
+                    dict(
+                        BASE,
+                        state={"kind": "moments", "p": p},
+                        directions={"preset": preset},
+                        sweep={"n_grid": [4]},
+                    ),
+                )
+                out = tmp_path / f"{command}-{preset}-{p}.csv"
+                assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+                (rows[p],) = read_csv(out)
+            assert rows[1e-200]["status"] == rows[0.5]["status"] == "ok"
+            assert rows[0.0]["status"] == "dark-state"
+            value_columns = [
+                c for c in rows[0.5] if c.startswith(("g_", "delta_", "oracle_"))
+            ]
+            assert len(value_columns) >= (5 if flags else 3)
+            for column in value_columns:
+                assert float(rows[1e-200][column]) == pytest.approx(
+                    float(rows[0.5][column]), rel=1e-12, abs=1e-12
+                )
+
+    @pytest.mark.parametrize("preset", ["forward", "off-axis"])
+    def test_faint_classical_rows_match_bright(self, tmp_path, preset):
+        # amplitudes 1e-201 and 1e-200 have the ratio and every normalized
+        # value of 0.1 and 1, the Monte Carlo columns included
+        rows = []
+        for e_coh, e_incoh in ((0.1, 1.0), (1e-201, 1e-200)):
+            state = {"kind": "classical", "e_coh_re": e_coh, "e_incoh": e_incoh}
             cfg = write_config(
                 tmp_path,
-                dict(
-                    BASE,
-                    state={"kind": "moments", "p": p},
-                    directions={"preset": "off-axis"},
-                    sweep={"n_grid": [4]},
-                ),
+                dict(BASE, state=state, directions={"preset": preset}, samples=200),
             )
-            out = tmp_path / f"{command}-{p}.csv"
-            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-            (rows[p],) = read_csv(out)
-        assert rows[1e-200]["status"] == rows[0.5]["status"] == "ok"
-        assert rows[0.0]["status"] == "dark-state"
-        value_columns = [c for c in rows[0.5] if c.startswith(("g_", "delta_"))]
-        assert value_columns
-        for column in value_columns:
-            assert float(rows[1e-200][column]) == pytest.approx(
-                float(rows[0.5][column]), rel=1e-12, abs=1e-12
+            out = tmp_path / f"cl-{e_incoh}.csv"
+            assert main(["classical", "--config", str(cfg), "--out", str(out)]) == 0
+            rows += read_csv(out)
+        bright, faint = rows
+        assert faint["status"] == bright["status"] == "ok"
+        for column in ("ratio", "g_re", "g_im", "g_abs", "mc_re", "mc_im", "mc_se"):
+            assert float(faint[column]) == pytest.approx(
+                float(bright[column]), rel=1e-12, abs=1e-12
             )
+        assert float(faint["ratio"]) == pytest.approx(0.01, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (
+                ["correlate"],
+                dict(BASE, ensemble={"n": 10**9, "seed": 1}, order={"m": 20, "n": 20},
+                     state={"kind": "pulse", "theta": 1.0}),
+            ),
+            (["figure", "fig2"], {"m_values": [40]}),
+        ],
+        ids=["correlate", "fig2"],
+    )
+    def test_closed_form_out_of_float_range_exit_3(self, tmp_path, capsys, argv, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "float range" in err
+        assert ("N = 1000000000, m = 20" in err) or ("N = 10000, m = 40" in err)
 
     def test_fig4_unknown_order_exit_2(self, tmp_path, capsys):
         overrides = write_config(tmp_path, {"orders": [[4, 1]]}, name="fig4.json")

@@ -14,9 +14,6 @@ from photonstat.combinatorics import (
     falling_factorial,
     permutation_count_P,
     stirling_first,
-    tuple_count_distinct,
-    tuple_count_ordered,
-    tuple_count_unrestricted,
 )
 from photonstat.errors import CapacityError
 
@@ -66,10 +63,6 @@ class TestPairPartitions:
     def test_cap(self):
         with pytest.raises(CapacityError):
             list(enumerate_pair_partitions(9))
-
-    def test_custom_j_set(self):
-        parts = list(enumerate_pair_partitions(2, j_set=(7, 9)))
-        assert parts[0].pairs == ((1, 7), (2, 9))
 
 
 class TestIntegerPartitions:
@@ -142,13 +135,6 @@ class TestFallingFactorial:
         assert falling_factorial(10, 2) == 90
         assert falling_factorial(3, 7) == 0
         assert falling_factorial(4, 0) == 1
-
-    def test_sum_relations(self):
-        assert tuple_count_unrestricted(10, 2) == 100
-        assert tuple_count_distinct(10, 2) == 90
-        assert tuple_count_ordered(10, 2) == 45
-        # relative error of unrestricted vs distinct
-        assert 1 - 90 / 100 == pytest.approx(0.1)
 
     @pytest.mark.parametrize("m", range(0, 9))
     @pytest.mark.parametrize("n", [0, 1, 5, 17, 100])

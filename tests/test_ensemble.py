@@ -1,4 +1,4 @@
-"""Geometry, structure factors, and speckle-moment statistics."""
+"""Geometry, structure factors, and the speckle statistics of random clouds."""
 
 import math
 
@@ -7,13 +7,10 @@ import pytest
 
 from photonstat.ensemble import (
     Ensemble,
-    cloud_factory,
     ensemble_from_config,
     equal_directions,
-    export_positions_csv,
     off_axis_direction,
     random_cloud,
-    speckle_moments,
     structure_factor,
 )
 
@@ -94,61 +91,62 @@ class TestRandomCloud:
             ens.positions[0, 0] = 99.0
 
 
+def speckle_samples(n, seed, k, realizations, distribution="uniform-cube"):
+    """S(k) and S(2k) of seeded clouds, one pair per realization."""
+    k = np.asarray(k, dtype=float)
+    clouds = [random_cloud(n, seed, distribution, realization=r) for r in range(realizations)]
+    s_k = np.array([structure_factor(ens, k) for ens in clouds])
+    s_2k = np.array([structure_factor(ens, 2.0 * k) for ens in clouds])
+    return s_k, s_2k
+
+
 class TestSpeckleMoments:
     def test_single_atom_exact(self):
-        factory = cloud_factory(1, seed=0)
-        out = speckle_moments(factory, [0.7, 0.1, 0.0], realizations=5)
-        assert out["abs_S_sq"] == pytest.approx(1.0, abs=1e-12)
-        assert out["abs_S_4th"] == pytest.approx(1.0, abs=1e-12)
-        assert out["abs_S2k_sq"] == pytest.approx(1.0, abs=1e-12)
-        assert out["S2k_Smk_sq"] == pytest.approx(1.0, abs=1e-12)
+        s_k, s_2k = speckle_samples(1, 0, [0.7, 0.1, 0.0], realizations=5)
+        assert np.abs(s_k) ** 2 == pytest.approx(np.ones(5), abs=1e-12)
+        assert np.abs(s_2k) ** 2 == pytest.approx(np.ones(5), abs=1e-12)
+        assert s_2k * s_k.conj() ** 2 == pytest.approx(np.ones(5), abs=1e-12)
 
     def test_uniform_cube_intensity_scaling(self):
         # <|S(k)|^2> ~ N for an off-axis k, 200 realizations at N = 1e4
         n = 10_000
-        factory = cloud_factory(n, seed=11)
-        out = speckle_moments(factory, off_axis_direction(0.3), realizations=200)
-        assert 0.8 <= out["abs_S_sq"] / n <= 1.2
+        s_k, _ = speckle_samples(n, 11, off_axis_direction(0.3), realizations=200)
+        assert 0.8 <= np.mean(np.abs(s_k) ** 2) / n <= 1.2
 
     def test_gaussian_fourth_moment(self):
         n = 10_000
-        factory = cloud_factory(n, seed=12, distribution={"kind": "gaussian", "sigma": 50.0})
-        out = speckle_moments(factory, off_axis_direction(1.1), realizations=200)
-        assert 0.7 <= out["abs_S_4th"] / (2.0 * n**2) <= 1.3
+        gaussian = {"kind": "gaussian", "sigma": 50.0}
+        s_k, _ = speckle_samples(n, 12, off_axis_direction(1.1), 200, gaussian)
+        assert 0.7 <= np.mean(np.abs(s_k) ** 4) / (2.0 * n**2) <= 1.3
 
     def test_third_order_cross_moment(self):
         # <S(2k) S(-k)^2> ~ N; noisy observable, so moderate N and many draws
         n = 100
-        factory = cloud_factory(n, seed=13)
-        out = speckle_moments(factory, off_axis_direction(2.0), realizations=20_000)
-        assert abs(out["S2k_Smk_sq"] / n - 1.0) <= 0.2
+        s_k, s_2k = speckle_samples(n, 13, off_axis_direction(2.0), realizations=20_000)
+        assert abs(np.mean(s_2k * s_k.conj() ** 2) / n - 1.0) <= 0.2
 
     def test_mean_intensity_tight(self):
         # sample SE of |S|^2/N is 1/sqrt(realizations); 1000 draws put the
         # +-0.1 window at 3 sigma
         n = 10_000
-        factory = cloud_factory(n, seed=14)
-        out = speckle_moments(factory, off_axis_direction(0.9), realizations=1000)
-        assert out["abs_S_sq"] / n == pytest.approx(1.0, abs=0.1)
-        assert out["abs_S_sq_se"] / n == pytest.approx(1.0 / math.sqrt(1000), rel=0.5)
+        s_k, _ = speckle_samples(n, 14, off_axis_direction(0.9), realizations=1000)
+        intensity = np.abs(s_k) ** 2 / n
+        assert intensity.mean() == pytest.approx(1.0, abs=0.1)
+        assert intensity.std(ddof=1) / math.sqrt(1000) == pytest.approx(
+            1.0 / math.sqrt(1000), rel=0.5
+        )
 
 
 class TestSerialization:
     def test_random_roundtrip(self):
         ens = random_cloud(6, seed=9)
-        again = ensemble_from_config(ens.to_config())
+        again = ensemble_from_config({"n": 6, "seed": 9, "distribution": "uniform-cube"})
         assert np.array_equal(ens.positions, again.positions)
 
     def test_explicit_roundtrip(self):
         ens = Ensemble(positions=[[0, 0, 0], [1, 2, 3]])
-        again = ensemble_from_config(ens.to_config())
+        again = ensemble_from_config({"positions": ens.positions.tolist()})
         assert np.array_equal(ens.positions, again.positions)
-
-    def test_csv_export(self, tmp_path):
-        ens = Ensemble(positions=[[0.5, -1.25, 3.0]])
-        path = tmp_path / "pos.csv"
-        export_positions_csv(ens, path)
-        assert path.read_text() == "x,y,z\n0.5,-1.25,3.0\n"
 
     def test_equal_directions_shape(self):
         dirs = equal_directions([1.0, 0.0, 0.0], 4)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from photonstat.classical import classical_exact_G
 from photonstat.ensemble import Ensemble
-from photonstat.quantum import CorrelationOrder, multilinear_G, oracle_G
+from photonstat.quantum import CorrelationOrder, multilinear_G, oracle_G, slot_table
 from photonstat.states import ClassicalEmitterModel, state_from_moments
 
 _coord = st.floats(-3.0, 3.0, allow_nan=False)
@@ -119,3 +119,17 @@ class TestClassicalAgainstTupleSum:
         # every tuple's term is at most (|Ec| + Ei)^(m+n) in magnitude
         scale = (ens.n * (abs(model.e_coh) + model.e_incoh)) ** (m + n)
         assert abs(got - want) <= 1e-10 * scale
+
+    def test_more_slots_than_oscillators_stays_nonzero(self):
+        # an oscillator serves any number of slots, so max(m, n) > N is no
+        # structural zero, unlike for two-level atoms
+        ens = Ensemble(positions=[[0.0, 0.0, 0.0], [0.25, -0.5, 1.0]])
+        model = ClassicalEmitterModel(e_coh=0.4 - 0.3j, e_incoh=0.7)
+        rng = np.random.default_rng(5)
+        for m, n in ((3, 1), (1, 3), (3, 3), (4, 2)):
+            dirs = rng.normal(size=(m + n, 3))
+            slots = slot_table(ens, CorrelationOrder(m, n), dirs)
+            want = classical_tuple_sum(model, ens.positions, m, n, dirs)
+            assert abs(want) > 1e-3
+            for got in (slots.G(model), slots.g(model)[0]):
+                assert abs(got - want) <= 1e-10 * (ens.n * 1.2) ** (m + n)

@@ -18,15 +18,15 @@ from photonstat.gmt import (
     crossover_ratio,
     deviation,
     deviation_N_closed_form,
-    deviation_coh_equal_directions,
+    deviation_coh_autocorrelation,
     gmt_predict,
     leading_unequal,
-    locate_crossover,
     taylor_forward_equal,
     taylor_offaxis_coh,
 )
 from photonstat.quantum import (
     CorrelationOrder,
+    autocorrelation_sums,
     deviation_coh_forward_ratio,
     forward_g_equal_ratio,
     g1_function,
@@ -204,13 +204,6 @@ class TestTaylorForward:
     def test_crossover_estimate(self):
         assert crossover_ratio(10_000) == pytest.approx(4e-8)
 
-    def test_crossover_located_from_exact_curve(self):
-        nat = 10_000
-        for m in (2, 3):
-            found = locate_crossover(nat, m)
-            guess = crossover_ratio(nat)
-            assert guess / 2 <= found <= guess * 2
-
     def test_slope_regimes(self):
         # quadratic then linear scaling of the coherence deviation
         nat = 10_000
@@ -265,8 +258,8 @@ class TestOffAxis:
         k = off_axis_direction(0.7)
         r = 1e-5
         series = taylor_offaxis_coh(ens, 2, k, r)
-        exact = deviation_coh_equal_directions(
-            pulse_state(pulse_area_for_ratio(r)), ens, CorrelationOrder.equal(2), k
+        exact = deviation_coh_autocorrelation(
+            pulse_state(pulse_area_for_ratio(r)), autocorrelation_sums(ens, k, 2), 2
         )
         assert abs(series.value - exact) <= 0.2 * abs(exact)
 
@@ -313,7 +306,7 @@ class TestEqualDirectionShortcut:
         ens = random_cloud(nat, seed=34)
         st = pulse_state(1.9)
         k = off_axis_direction(1.3)
-        fast = deviation_coh_equal_directions(st, ens, CorrelationOrder.equal(m), k)
+        fast = deviation_coh_autocorrelation(st, autocorrelation_sums(ens, k, m), m)
         rep = deviation(st, ens, CorrelationOrder.equal(m), equal_directions(k, 2 * m))
         assert fast == pytest.approx(rep.delta_coh, rel=1e-9, abs=1e-12)
 
@@ -324,7 +317,7 @@ class TestEqualDirectionShortcut:
         k = off_axis_direction(0.4)
         for seed in (1, 2):
             ens = random_cloud(nat, seed=seed)
-            val = deviation_coh_equal_directions(st, ens, CorrelationOrder.equal(m), k)
+            val = deviation_coh_autocorrelation(st, autocorrelation_sums(ens, k, m), m)
             assert val == pytest.approx(0.0, abs=1e-10)
         expected = math.factorial(m) * falling_factorial(nat, m) / nat**m
         assert expected == pytest.approx(

@@ -36,7 +36,7 @@ def random_state(rng):
 class TestCorrelationOrder:
     def test_accessors(self):
         order = CorrelationOrder(3, 1)
-        assert (order.alpha, order.x, order.total) == (1, 3, 4)
+        assert (order.x, order.total) == (3, 4)
         assert not order.equal_order
         assert CorrelationOrder.equal(2).equal_order
 
@@ -114,6 +114,11 @@ class TestMultilinear:
         raw = multilinear_G(st, ens, CorrelationOrder.equal(2), forward_directions(4))
         g = normalize(raw, [intensity(st, ens, np.zeros(3))] * 4)
         assert g == pytest.approx(2.0 - 2.0 / nat, rel=1e-10)
+
+    def test_direction_count_checked(self):
+        ens = random_cloud(4, seed=0)
+        with pytest.raises(ValueError):
+            correlate(pulse_state(math.pi), ens, CorrelationOrder.equal(2), forward_directions(2))
 
     def test_order_cap(self):
         ens = random_cloud(3, seed=0)
@@ -211,35 +216,6 @@ class TestForwardClosedForms:
         # |g^(2,1)(0)| ~ 2 sqrt(NR) at small R
         val = forward_g_unequal_ratio_abs(100, 2, 1, 1e-6)
         assert val == pytest.approx(2e-2, rel=0.15)
-
-
-class TestDirectionSet:
-    def test_slot_split(self):
-        from photonstat.ensemble import DirectionSet
-
-        ds = DirectionSet(vectors=np.arange(12.0).reshape(4, 3), n_minus=3)
-        assert ds.n_plus == 1
-        assert ds.minus().shape == (3, 3)
-        assert np.all(ds.plus()[0] == [9.0, 10.0, 11.0])
-
-    def test_correlate_accepts_direction_set(self):
-        from photonstat.ensemble import DirectionSet
-
-        ens = random_cloud(4, seed=0)
-        st = pulse_state(math.pi)
-        ds = DirectionSet.forward(2, 2)
-        res = correlate(st, ens, CorrelationOrder.equal(2), ds)
-        assert res.value == pytest.approx(1.5, rel=1e-12)
-
-    def test_length_validation(self):
-        from photonstat.ensemble import DirectionSet
-
-        ens = random_cloud(4, seed=0)
-        with pytest.raises(ValueError):
-            correlate(
-                pulse_state(math.pi), ens, CorrelationOrder.equal(2),
-                DirectionSet.forward(1, 1),
-            )
 
 
 class TestNormalize:

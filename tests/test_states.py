@@ -35,7 +35,7 @@ class TestPulseState:
         st = pulse_state(0.0)
         assert st.population == 0.0
         assert st.coherence == 0.0
-        assert st.is_dark
+        assert st.ratio == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -117,15 +117,17 @@ class TestFromMoments:
 
 class TestSerialization:
     def test_roundtrip_kinds(self):
-        for cfg in (
-            {"kind": "pulse", "theta": 1.3},
-            {"kind": "driven", "s": 2.5},
-            {"kind": "moments", "p": 0.3, "c_re": 0.1, "c_im": -0.2},
+        for cfg, want in (
+            ({"kind": "pulse", "theta": 1.3}, pulse_state(1.3)),
+            ({"kind": "driven", "s": 2.5}, driven_steady_state(2.5)),
+            (
+                {"kind": "moments", "p": 0.3, "c_re": 0.1, "c_im": -0.2},
+                state_from_moments(0.3, 0.1 - 0.2j),
+            ),
         ):
             st = state_from_config(cfg)
-            again = state_from_config(st.to_config())
-            assert again.population == pytest.approx(st.population)
-            assert again.coherence == pytest.approx(st.coherence)
+            assert st.population == pytest.approx(want.population)
+            assert st.coherence == pytest.approx(want.coherence)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -144,6 +146,13 @@ class TestClassicalModel:
     def test_zero_incoherent(self):
         model = ClassicalEmitterModel(e_coh=1.0, e_incoh=0.0)
         assert model.ratio == math.inf
+
+    def test_faint_amplitudes_keep_their_ratio(self):
+        # |E_coh|^2 = 1e-402 underflows; the ratio of the amplitudes does not
+        faint = ClassicalEmitterModel(e_coh=1e-201, e_incoh=1e-200)
+        assert faint.ratio == pytest.approx(0.01, rel=1e-14)
+        unit = faint.unit()
+        assert (unit.e_coh, unit.e_incoh) == (pytest.approx(0.1, rel=1e-15), 1.0)
 
     def test_negative_incoherent_rejected(self):
         with pytest.raises(ValueError):
