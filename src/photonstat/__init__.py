@@ -3,26 +3,12 @@
 Computes correlation functions g^(m,n) of arbitrary order for product-state
 ensembles, their Gaussian-moment-theorem predictions, the finite-size and
 spin-coherence deviations between the two, and the admissibility conditions
-that decide when the light is effectively thermal.
+that decide when the light is effectively thermal.  The counting primitives
+(:mod:`photonstat.combinatorics`) and the series forms
+(:mod:`photonstat.gmt`) are reached through their modules.
 """
 
-from .classical import (
-    classical_exact_G,
-    classical_forward_g,
-    classical_forward_g_unequal,
-    classical_mc_G,
-)
-from .combinatorics import (
-    IntegerPartition,
-    PairPartition,
-    classical_count_C,
-    configuration_count_B,
-    enumerate_integer_partitions,
-    enumerate_pair_partitions,
-    falling_factorial,
-    permutation_count_P,
-    stirling_first,
-)
+from .classical import classical_exact_G, classical_mc_G
 from .ensemble import Ensemble, random_cloud, structure_factor
 from .errors import (
     CapacityError,
@@ -31,26 +17,15 @@ from .errors import (
     ValidationFailure,
     ZeroIntensityError,
 )
-from .gmt import (
-    DeviationReport,
-    check_conditions,
-    classical_taylor_forward,
-    deviation,
-    deviation_N_closed_form,
-    gmt_predict,
-    leading_unequal,
-    taylor_forward_equal,
-    taylor_offaxis_coh,
-)
+from .gmt import DeviationReport, check_conditions, deviation, gmt_predict
 from .quantum import (
     CorrelationOrder,
     CorrelationResult,
     correlate,
-    forward_G_equal,
-    forward_G_unequal,
     multilinear_G,
     normalize,
     oracle_G,
+    row_geometry,
     slot_table,
 )
 from .states import (

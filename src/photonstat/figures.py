@@ -31,20 +31,13 @@ from .ensemble import (
     random_cloud,
 )
 from .errors import ConfigError, ZeroIntensityError
-from .gmt import (
-    LEADING_UNEQUAL,
-    check_conditions,
-    crossover_ratio,
-    deviation,
-    deviation_coh_autocorrelation,
-    leading_unequal,
-)
+from .gmt import LEADING_UNEQUAL, check_conditions, crossover_ratio, deviation, leading_unequal
 from .quantum import (
     CorrelationOrder,
     autocorrelation_sums,
     closed_form_range,
     correlate,
-    correlate_forward,
+    deviation_coh_autocorrelation,
     deviation_coh_forward_ratio,
     forward_g_equal_ratio,
     forward_g_unequal_ratio_abs,
@@ -83,21 +76,27 @@ class _Point:
     """One sweep task: atom count, state-axis point and realization.
 
     The ensemble and the directions are built on first access, so rows that
-    need no geometry build none.
+    need no geometry build none.  A point stands in for its ensemble in
+    ``correlate`` and ``deviation``: a forward row reads ``n`` but never
+    ``positions``, which builds the cloud.
     """
 
     cfg: ScenarioConfig
-    nat: int
+    n: int
     axis: str
     value: float | None
     real: int
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.ensemble.positions
 
     @cached_property
     def ensemble(self) -> Ensemble:
         if "positions" in self.cfg.ensemble:
             return ensemble_from_config(self.cfg.ensemble)
         distribution = self.cfg.ensemble.get("distribution", "uniform-cube")
-        return random_cloud(self.nat, self.cfg.seed, distribution, realization=self.real)
+        return random_cloud(self.n, self.cfg.seed, distribution, realization=self.real)
 
     @cached_property
     def directions(self) -> tuple[np.ndarray, str]:
@@ -196,7 +195,7 @@ def _quantum_row(cfg: ScenarioConfig, point: _Point, cells: dict):
     state, kind, param = _quantum_state_at(cfg, point.axis, point.value)
     dirs, preset = point.directions
     cells.update(
-        n_atoms=point.nat, m=cfg.order.m, n=cfg.order.n, state_kind=kind,
+        n_atoms=point.n, m=cfg.order.m, n=cfg.order.n, state_kind=kind,
         state_param=param, ratio=state.ratio, preset=preset, seed=cfg.seed,
         realization=point.real,
     )
@@ -211,7 +210,7 @@ CORRELATE_COLUMNS = [
 
 
 def run_correlate(cfg: ScenarioConfig, validate: bool = False, threads: int = 1):
-    """g^(m,n) over the grid via the cheapest exact path.
+    """g^(m,n) over the grid via the cheapest exact path (``quantum.row_geometry``).
 
     Returns (table, summary); with ``validate`` the oracle is run alongside
     wherever its tuple guard allows and the summary carries the maximum
@@ -221,15 +220,12 @@ def run_correlate(cfg: ScenarioConfig, validate: bool = False, threads: int = 1)
 
     def evaluate(point: _Point, cells: dict) -> None:
         state, dirs = _quantum_row(cfg, point, cells)
-        if np.any(dirs):
-            result = correlate(state, point.ensemble, order, dirs)
-        else:  # the closed forms need only N, so no cloud is built
-            result = correlate_forward(state, point.nat, order)
+        result = correlate(state, point, order, dirs)
         cells.update(
             method=result.method,
             g_re=result.value.real, g_im=result.value.imag, g_abs=abs(result.value),
         )
-        if validate and point.nat**order.total <= ORACLE_VALIDATE_GUARD:
+        if validate and point.n**order.total <= ORACLE_VALIDATE_GUARD:
             oracle_value = oracle_g(state, point.ensemble, order, dirs)
             denom = max(abs(oracle_value), abs(result.value), 1e-300)
             cells.update(
@@ -272,21 +268,21 @@ def run_classical(cfg: ScenarioConfig, threads: int = 1):
         model = _classical_model_at(cfg, point.axis, point.value)
         dirs, preset = point.directions
         cells.update(
-            n_atoms=point.nat, m=order.m, n=order.n,
+            n_atoms=point.n, m=order.m, n=order.n,
             e_coh_re=model.e_coh.real, e_coh_im=model.e_coh.imag,
             e_incoh=model.e_incoh, ratio=model.ratio, preset=preset,
             seed=cfg.seed, realization=point.real,
         )
         unit = model.unit()  # g is scale-free; the Monte Carlo runs at O(1) amplitudes
         if not np.any(dirs):
-            with closed_form_range(point.nat, order.x):
+            with closed_form_range(point.n, order.x):
                 if order.equal_order:
-                    g = complex(classical_forward_g(unit, point.nat, order.m))
+                    g = complex(classical_forward_g(unit, point.n, order.m))
                 elif order.m > order.n:
-                    g = classical_forward_g_unequal(unit, point.nat, order.m, order.n)
+                    g = classical_forward_g_unequal(unit, point.n, order.m, order.n)
                 else:
-                    g = classical_forward_g_unequal(unit, point.nat, order.n, order.m).conjugate()
-                norm = classical_intensity(unit, point.nat) ** (0.5 * order.total)
+                    g = classical_forward_g_unequal(unit, point.n, order.n, order.m).conjugate()
+                norm = classical_intensity(unit, point.n) ** (0.5 * order.total)
             method = "classical-forward"
         else:
             slots = slot_table(point.ensemble, order, dirs)
@@ -322,7 +318,7 @@ def run_deviation(cfg: ScenarioConfig, threads: int = 1):
 
     def evaluate(point: _Point, cells: dict) -> None:
         state, dirs = _quantum_row(cfg, point, cells)
-        report = deviation(state, point.ensemble, order, dirs)
+        report = deviation(state, point, order, dirs)
         margins = {m.name: m.ratio for m in report.conditions.margins}
         cells.update(
             g_exact_re=report.g_exact.real, g_exact_im=report.g_exact.imag,
@@ -361,11 +357,12 @@ def run_conditions(cfg: ScenarioConfig, threads: int = 1):
             float(point.value) if point.axis == "r"
             else _quantum_state_at(cfg, point.axis, point.value)[0].ratio
         )
-        report = check_conditions(ratio, point.nat, order)
+        with closed_form_range(point.n, order.x):
+            report = check_conditions(ratio, point.n, order)
         cells.update(
-            n_atoms=point.nat, m=order.m, n=order.n, ratio=ratio,
+            n_atoms=point.n, m=order.m, n=order.n, ratio=ratio,
             flagged=report.flagged(),
-            note="g=0 short-circuit: m > N" if order.x > point.nat else "",
+            note="g=0 short-circuit: m > N" if order.x > point.n else "",
         )
         for margin in report.margins:
             key = margin.name.replace("spin_coherence", "spin")
@@ -493,14 +490,12 @@ def run_figure(
             columns=["n_atoms", "r_inv", "ratio", "g2", "nr_squared", "method"]
         )
         for nat in params["n_grid"]:
-            with closed_form_range(nat, 2):
-                for r_inv in params["r_inv_grid"]:
-                    r = 1.0 / r_inv
-                    table.append(
-                        n_atoms=nat, r_inv=r_inv, ratio=r,
-                        g2=forward_g_equal_ratio(nat, 2, r),
-                        nr_squared=(nat * r) ** 2, method="forward-closed-form",
-                    )
+            for r_inv in params["r_inv_grid"]:
+                r = 1.0 / r_inv
+                table.append(
+                    n_atoms=nat, r_inv=r_inv, ratio=r, g2=forward_g_equal_ratio(nat, 2, r),
+                    nr_squared=(nat * r) ** 2, method="forward-closed-form",
+                )
         return table, {"figure": figure_id}
 
     if figure_id == "fig2":
@@ -513,17 +508,16 @@ def run_figure(
         )
         for m in params["m_values"]:
             fact = math.factorial(m) * m * (m - 1)
-            with closed_form_range(nat, m):
-                for r_inv in params["r_inv_grid"]:
-                    r = 1.0 / r_inv
-                    table.append(
-                        m=m, n_atoms=nat, r_inv=r_inv, ratio=r,
-                        delta_coh_abs=abs(deviation_coh_forward_ratio(nat, m, r)),
-                        linear_term=fact * r,
-                        quadratic_term=0.25 * fact * nat**2 * r**2,
-                        crossover_ratio=crossover_ratio(nat),
-                        method="forward-closed-form",
-                    )
+            for r_inv in params["r_inv_grid"]:
+                r = 1.0 / r_inv
+                table.append(
+                    m=m, n_atoms=nat, r_inv=r_inv, ratio=r,
+                    delta_coh_abs=abs(deviation_coh_forward_ratio(nat, m, r)),
+                    linear_term=fact * r,
+                    quadratic_term=0.25 * fact * nat**2 * r**2,
+                    crossover_ratio=crossover_ratio(nat),
+                    method="forward-closed-form",
+                )
         return table, {"figure": figure_id}
 
     if figure_id == "fig3":
@@ -565,14 +559,12 @@ def run_figure(
         ]
     )
     for m, n in params["orders"]:
-        order = CorrelationOrder(m, n)
-        with closed_form_range(nat, order.x):
-            for r_inv in params["r_inv_grid"]:
-                r = 1.0 / r_inv
-                table.append(
-                    m=m, n=n, n_atoms=nat, r_inv=r_inv, ratio=r,
-                    g_abs=forward_g_unequal_ratio_abs(nat, m, n, r),
-                    leading_pred=leading_unequal(nat, r, order),
-                    sqrt_r=math.sqrt(r), r=r, method="forward-closed-form",
-                )
+        for r_inv in params["r_inv_grid"]:
+            r = 1.0 / r_inv
+            table.append(
+                m=m, n=n, n_atoms=nat, r_inv=r_inv, ratio=r,
+                g_abs=forward_g_unequal_ratio_abs(nat, m, n, r),
+                leading_pred=leading_unequal(nat, r, CorrelationOrder(m, n)),
+                sqrt_r=math.sqrt(r), r=r, method="forward-closed-form",
+            )
     return table, {"figure": figure_id}

@@ -7,23 +7,27 @@ first-order correlators; for m != n it is zero.  Deviations are reported as
 
 split into a finite-size part (re-evaluated with the coherence zeroed while
 keeping the fluctuation: p -> f, c -> 0) and the spin-coherence remainder.
-The split is exact by construction.  Note: the displayed closed forms for
-the finite-size part carry the sign matching this definition; at equal
-directions and full inversion delta_g^(2) = +2/N.
+The split is exact by construction; at equal directions and full inversion
+delta_g^(2) = +2/N.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import binomial, enumerate_pair_partitions, falling_factorial
+from .combinatorics import enumerate_pair_partitions, falling_factorial
 from .ensemble import Ensemble, structure_factor
-from .errors import ZeroIntensityError
-from .quantum import AutocorrelationSums, CorrelationOrder, _as_directions, slot_table
+from .quantum import (
+    CorrelationOrder,
+    SingleK,
+    SlotTable,
+    closed_form_range,
+    deviation_coh_autocorrelation,
+    row_geometry,
+)
 from .states import SingleAtomState
 
 DEFAULT_MARGIN_POLICY = 0.1  # "much less than one" reported as ratio < policy
@@ -61,13 +65,19 @@ class ConditionReport:
         raise KeyError(name)
 
     def flagged(self, policy: float = DEFAULT_MARGIN_POLICY) -> bool:
+        """Any margin at or above the policy.
+
+        With max(m, n) > N there are no margins: g is exactly 0, which misses
+        g_GMT = m! when m = n and matches g_GMT = 0 when m != n.
+        """
+        if not self.margins:
+            return self.order.equal_order
         return any(not m.satisfied(policy) for m in self.margins)
 
 
 @dataclass(frozen=True)
 class DeviationReport:
     order: CorrelationOrder
-    directions: np.ndarray
     g_exact: complex
     g_gmt: complex
     delta_total: complex
@@ -107,10 +117,13 @@ def check_conditions(ratio: float, nat: int, order: CorrelationOrder) -> Conditi
     quadratic spin-coherence condition R^2 << 4 / (N^2 m (m-1)), and the
     stricter intermediate linear condition R << 1 / (m (N - m + 1)).  For
     m != n only a spin-coherence condition remains:
-    sqrt(R) << (N-x)! N^x / (x! N! sqrt(N)) with x = max(m, n).
+    sqrt(R) << (N-x)! N^x / (x! N! sqrt(N)) with x = max(m, n).  With
+    x > N, g = 0 exactly and there are no margins.
     """
     m, n = order.m, order.n
     margins = []
+    if order.x > nat:
+        return ConditionReport(order=order, n_atoms=nat, ratio=ratio, margins=())
     if order.equal_order:
         lhs = math.factorial(m) * m * (m - 1) / (2.0 * nat)
         margins.append(ConditionMargin("finite_n", lhs, 1.0))
@@ -140,72 +153,46 @@ def check_conditions(ratio: float, nat: int, order: CorrelationOrder) -> Conditi
 
 
 def deviation(
-    state: SingleAtomState,
-    ensemble: Ensemble,
-    order: CorrelationOrder,
-    directions,
+    state: SingleAtomState, ensemble: Ensemble, order: CorrelationOrder, directions
 ) -> DeviationReport:
-    """Full deviation decomposition at the given observation directions.
+    """Full deviation decomposition on the geometry ``row_geometry`` picks."""
+    return deviation_on(state, row_geometry(ensemble, order, directions))
 
-    One structure-factor table of the slot subsets serves g, the
-    coherence-zeroed g, the slot intensities and every pair factor g^(1).
+
+def deviation_on(state: SingleAtomState, geometry: SingleK | SlotTable) -> DeviationReport:
+    """The decomposition of one row on a one-k row or a slot table.
+
+    On one k every g^(1) is 1, so g_GMT = m! (0 for m != n), the
+    coherence-zeroed g is m! N^(m) / N^m with N^(m) the falling factorial,
+    and delta_coh comes from the power sums without subtracting two O(1)
+    values.  A slot table gives g, the coherence-zeroed g, the slot
+    intensities and every pair factor g^(1).
     """
-    dirs = _as_directions(directions, order.total)
-    slots = slot_table(ensemble, order, dirs)
-    g_exact = slots.g(state)[1]
-    g_gmt = _pair_partition_sum(order, slots.g1(state))
-    delta_total = g_gmt - g_exact
-    if order.equal_order:
-        zeroed = state.coherence_zeroed()
-        delta_n = _pair_partition_sum(order, slots.g1(zeroed)) - slots.g(zeroed)[1]
-    else:
-        delta_n = 0.0 + 0.0j
-    delta_coh = delta_total - delta_n
-    return DeviationReport(
-        order=order,
-        directions=dirs,
-        g_exact=g_exact,
-        g_gmt=g_gmt,
-        delta_total=delta_total,
-        delta_n=delta_n,
-        delta_coh=delta_coh,
-        epsilon=math.factorial(order.x) * math.sqrt(state.ratio),
-        conditions=check_conditions(state.ratio, ensemble.n, order),
-    )
-
-
-def deviation_N_closed_form(ensemble: Ensemble, order: CorrelationOrder, directions) -> complex:
-    """Finite-size deviation from structure factors, m in {2, 3}.
-
-    delta^(2)_N = (2/N^2) S(k1 + k2 - k3 - k4);
-    delta^(3)_N = (1/(2 N^3)) sum_(s,s') S(k_s(1) - k_(3+s'(1)))
-                  S(k_s(2) + k_s(3) - k_(3+s'(2)) - k_(3+s'(3)))
-                  - (12/N^3) S(k1 + k2 + k3 - k4 - k5 - k6),
-    with the overall sign matching delta = g_GMT - g_exact.
-    """
-    if not order.equal_order or order.m not in (2, 3):
-        raise ValueError("closed form available for m = n in {2, 3} only")
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    nat = ensemble.n
-    m = order.m
-    if m == 2:
-        return (2.0 / nat**2) * structure_factor(
-            ensemble, dirs[0] + dirs[1] - dirs[2] - dirs[3]
+    order, nat = geometry.order, geometry.n
+    with closed_form_range(nat, order.x):
+        g_exact = geometry.g(state)[1]
+        if isinstance(geometry, SlotTable):
+            g_gmt = _pair_partition_sum(order, geometry.g1(state))
+            delta_total = g_gmt - g_exact
+            delta_n = 0.0 + 0.0j
+            if order.equal_order:
+                zeroed = state.coherence_zeroed()
+                delta_n = _pair_partition_sum(order, geometry.g1(zeroed)) - geometry.g(zeroed)[1]
+            delta_coh = delta_total - delta_n
+        elif order.equal_order:
+            m = order.m
+            g_gmt = complex(math.factorial(m))
+            delta_n = complex(math.factorial(m) * (nat**m - math.perm(nat, m)) / nat**m)
+            delta_coh = complex(deviation_coh_autocorrelation(state, geometry.sums, m))
+            delta_total = delta_n + delta_coh
+        else:
+            g_gmt = delta_n = 0j
+            delta_total = delta_coh = g_gmt - g_exact
+        return DeviationReport(
+            order, g_exact, g_gmt, delta_total, delta_n, delta_coh,
+            epsilon=math.factorial(order.x) * math.sqrt(state.ratio),
+            conditions=check_conditions(state.ratio, nat, order),
         )
-    total = 0.0 + 0.0j
-    for sig in itertools.permutations(range(3)):
-        for sigp in itertools.permutations(range(3)):
-            single = structure_factor(ensemble, dirs[sig[0]] - dirs[3 + sigp[0]])
-            pair = structure_factor(
-                ensemble,
-                dirs[sig[1]] + dirs[sig[2]] - dirs[3 + sigp[1]] - dirs[3 + sigp[2]],
-            )
-            total += single * pair
-    total /= 2.0 * nat**3
-    total -= (12.0 / nat**3) * structure_factor(
-        ensemble, dirs[0] + dirs[1] + dirs[2] - dirs[3] - dirs[4] - dirs[5]
-    )
-    return total
 
 
 @dataclass(frozen=True)
@@ -323,46 +310,3 @@ def leading_unequal(nat: int, r: float, order: CorrelationOrder) -> float:
     if key not in LEADING_UNEQUAL:
         raise ValueError(f"no tabulated leading term for order {key}")
     return LEADING_UNEQUAL[key](nat, r)
-
-
-def deviation_coh_autocorrelation(
-    state: SingleAtomState, sums: AutocorrelationSums, m: int
-) -> float:
-    """Spin-coherence deviation g(c = 0) - g of g^(m)(k,...,k) from power sums.
-
-    Scale the state by s = max(f, |c|^2): u = f/s and v = |c|^2/s (u = 1 and
-    v = R when R <= 1), so p/s = u + v.  The slot intensity is
-    s (u N + v |S(k)|^2) = s ((u + v) N + v F_1) with F_1 = |S(k)|^2 - N, and
-    the coherence-zeroed value is (m!)^2 C(N, m) / N^m.  Expanding
-    C(N, m) ((u + v) + v F_1/N)^m term by term against G removes the t = 0
-    term symbolically:
-
-        delta = (m!)^2 sum_(t>=1) (u+v)^(m-t) v^t [C(N,m) C(m,t) (F_1/N)^t
-                - C(N-2t, m-t) F_t] / (u N + v |S(k)|^2)^m ,
-
-    and the t = 1 bracket is exactly C(N-2, m-2) F_1.  No two O(1) values
-    are subtracted, so the relative error stays at rounding level as R -> 0.
-    Terms with N - 2t < m - t vanish; m > N gives exactly 0.
-    """
-    if not 1 <= m <= sums.m_max:
-        raise ValueError(f"order {m} outside 1..{sums.m_max} of the power-sum table")
-    nat = sums.n
-    _, u, v = state.scaled_powers()
-    denom = u * nat + v * sums.abs_s2
-    if not denom > 0.0:
-        raise ZeroIntensityError(
-            "cannot normalize against zero single-direction intensity "
-            "(dark state or empty ensemble)"
-        )
-    if m > nat:
-        return 0.0
-    f1 = sums.pair_sums[1]
-    a = u + v
-    total = a ** (m - 1) * v * binomial(nat - 2, m - 2) * f1
-    for t in range(2, m + 1):
-        bracket = (
-            math.comb(nat, m) * math.comb(m, t) * (f1 / nat) ** t
-            - binomial(nat - 2 * t, m - t) * sums.pair_sums[t]
-        )
-        total += a ** (m - t) * v**t * bracket
-    return math.factorial(m) ** 2 * total / denom**m

@@ -15,13 +15,14 @@ Three exact evaluation paths, trusted against each other:
   cloud and directions (``slot_table``, :mod:`photonstat.kernels`), for
   either emitter.  Cost O(N 2^(m+n)) plus O(3^(m+n)) per emitter; this path
   reaches N = 10^4.
-* ``forward_G_equal`` / ``forward_G_unequal``: closed-form binomial sums for
-  two-level atoms with all observation vectors equal to zero (forward
-  direction), with exact integer coefficients.
+* ``SingleK.g``: two-level atoms with every slot at one k, from the power
+  sums S(d k), d <= max(m, n), and the pair sums F_(a,b) built from them
+  (``autocorrelation_sums``, O(N max(m, n)) per cloud and direction).  The
+  forward direction is its k = 0 case, where F_(a,b) = C(N, a) C(N - a, b)
+  and |S|^2 = N^2 are exact integers that need no cloud (``forward_sums``).
 
-For an autocorrelation (every slot at one k) ``autocorrelation_G`` needs only
-the power sums S(d k), d <= m: ``autocorrelation_sums`` computes them once
-per cloud and direction, in O(N m), for every order and state.
+``row_geometry`` picks one row's path from its direction vectors;
+``correlate`` and :func:`photonstat.gmt.deviation` go through it.
 
 Raw correlators G carry source-field units^(m+n); ``normalize`` divides by
 the square roots of the m+n single-direction intensities.
@@ -29,6 +30,8 @@ the square roots of the m+n single-direction intensities.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -80,8 +83,6 @@ class CorrelationResult:
     raw: complex
     value: complex
     method: str
-    order: CorrelationOrder
-    directions: np.ndarray
 
 
 def _as_directions(directions, n_slots: int) -> np.ndarray:
@@ -246,6 +247,7 @@ class SlotTable:
     order: CorrelationOrder
     n: int
     values: np.ndarray
+    method = "multilinear"
 
     def _scaled_G(self, emitter: Emitter) -> complex:
         """G / s^((m+n)/2) from the emitter's moment table.
@@ -288,12 +290,16 @@ class SlotTable:
         )
 
 
-def slot_table(ensemble: Ensemble, order: CorrelationOrder, directions) -> SlotTable:
-    """The structure factors of every slot subset; m + n is capped at DEFAULT_ORDER_CAP."""
+def _check_cap(order: CorrelationOrder) -> None:
     if order.total > DEFAULT_ORDER_CAP:
         raise CapacityError(
-            f"multilinear path capped at m + n <= {DEFAULT_ORDER_CAP}, got {order.total}"
+            f"paths over a cloud are capped at m + n <= {DEFAULT_ORDER_CAP}, got {order.total}"
         )
+
+
+def slot_table(ensemble: Ensemble, order: CorrelationOrder, directions) -> SlotTable:
+    """The structure factors of every slot subset; m + n is capped at DEFAULT_ORDER_CAP."""
+    _check_cap(order)
     values = kernels.structure_factor_table(
         ensemble.positions, _as_directions(directions, order.total), order.m
     )
@@ -313,26 +319,25 @@ def multilinear_G(
 
 @dataclass(frozen=True)
 class AutocorrelationSums:
-    """Geometry of one cloud along one direction k, for g^(m)(k,...,k).
+    """Geometry of N emitters along one direction k, for slots that all share it.
 
-    With z_mu = exp(2 pi i k . R_mu): ``abs_s2`` is |S(k)|^2 and
-    ``pair_sums[q]`` is the disjoint-pair sum
-    F_q = [x^q y^q] prod_mu (1 + z_mu x + conj(z_mu) y), which is real.
-    q runs from 0 to ``m_max``; one table serves every m <= m_max and every
+    With z_mu = exp(2 pi i k . R_mu): ``abs_s2`` is |S(k)|^2 and ``pairs[a][b]``
+    is the disjoint-pair sum F_(a,b) = [x^a y^b] prod_mu (1 + z_mu x + conj(z_mu) y)
+    for a, b <= ``m_max``.  One table serves every order up to m_max and every
     state.
     """
 
     n: int
     abs_s2: float
-    pair_sums: tuple[float, ...]
+    pairs: tuple[tuple[complex, ...], ...]
 
     @property
     def m_max(self) -> int:
-        return len(self.pair_sums) - 1
+        return len(self.pairs) - 1
 
 
-def _pair_sums(power_sums, m: int) -> tuple[float, ...]:
-    """F_0..F_m as the exponential of the atom product's log series.
+def _pair_sums(power_sums, m: int) -> tuple[tuple[complex, ...], ...]:
+    """F_(a,b), a, b <= m, as the exponential of the atom product's log series.
 
     log prod_mu (1 + z_mu x + conj(z_mu) y) = sum c_ab S((a-b) k) x^a y^b over
     a + b >= 1, with c_ab = (-1)^(a+b+1) (a+b-1)! / (a! b!).  E = exp(L)
@@ -359,7 +364,7 @@ def _pair_sums(power_sums, m: int) -> tuple[float, ...]:
                 ) / a
             elif b:
                 exp[0][b] = sum(j * log[0][j] * exp[0][b - j] for j in range(1, b + 1)) / b
-    return tuple(exp[q][q].real for q in range(m + 1))
+    return tuple(map(tuple, exp))
 
 
 def autocorrelation_sums(ensemble: Ensemble, k, m_max: int) -> AutocorrelationSums:
@@ -378,164 +383,18 @@ def autocorrelation_sums(ensemble: Ensemble, k, m_max: int) -> AutocorrelationSu
     return AutocorrelationSums(
         n=ensemble.n,
         abs_s2=abs(power_sums[1]) ** 2,
-        pair_sums=_pair_sums(power_sums, m_max),
+        pairs=_pair_sums(power_sums, m_max),
     )
 
 
-def autocorrelation_G(state: SingleAtomState, sums: AutocorrelationSums, m: int) -> float:
-    """G^(m)(k,...,k) = (m!)^2 sum_q p^(m-q) |c|^(2q) C(N-2q, m-q) F_q.
-
-    q atoms carry one minus slot each, q others one plus slot each (F_q),
-    and the remaining m - q slot pairs sit on common atoms chosen from the
-    other N - 2q.  Terms with no room for them vanish, so m > N gives 0.
-    """
-    if not 1 <= m <= sums.m_max:
-        raise ValueError(f"order {m} outside 1..{sums.m_max} of the power-sum table")
-    p = state.population
-    c2 = abs(state.coherence) ** 2
-    total = sum(
-        p ** (m - q) * c2**q * binomial(sums.n - 2 * q, m - q) * sums.pair_sums[q]
-        for q in range(m + 1)
+def forward_sums(nat: int, m_max: int) -> AutocorrelationSums:
+    """The sums at k = 0, exact integers that need only N: every z_mu = 1, so
+    |S|^2 = N^2 and F_(a,b) = C(N, a) C(N - a, b) counts disjoint atom sets."""
+    pairs = tuple(
+        tuple(binomial(nat, a) * binomial(nat - a, b) for b in range(m_max + 1))
+        for a in range(m_max + 1)
     )
-    return math.factorial(m) ** 2 * total
-
-
-def _forward_equal_a(nat: int, m: int) -> list[int]:
-    """a_j = C(m,j)^2 j! (2m-j)! C(N, 2m-j): weight of p^j |c|^(2(m-j))."""
-    return [
-        math.comb(m, j) ** 2
-        * math.factorial(j)
-        * math.factorial(2 * m - j)
-        * math.comb(nat, 2 * m - j)
-        for j in range(m + 1)
-    ]
-
-
-def forward_equal_coefficients(nat: int, m: int) -> list[int]:
-    """q_k with G(0..0) = f^m sum_k q_k R^k; exact integers."""
-    a = _forward_equal_a(nat, m)
-    return [
-        sum(a[j] * math.comb(j, k - m + j) for j in range(max(m - k, 0), m + 1))
-        for k in range(m + 1)
-    ]
-
-
-def forward_G_equal(state: SingleAtomState, nat: int, m: int) -> float:
-    """G^(m)(0,...,0) from the closed binomial double sum."""
-    if m < 1 or nat < 1:
-        raise ValueError("orders and atom counts must be positive")
-    return _forward_equal(nat, m, state.population, abs(state.coherence) ** 2)
-
-
-def _forward_equal(nat: int, m: int, p: float, c2: float) -> float:
-    """sum_j a_j p^j |c|^(2(m-j))."""
-    a = _forward_equal_a(nat, m)
-    return float(sum(aj * p**j * c2 ** (m - j) for j, aj in enumerate(a)))
-
-
-def forward_g_equal_ratio(nat: int, m: int, r: float) -> float:
-    """Normalized g^(m)(0,...,0) as a function of (N, m, R) only.
-
-    g = sum_k q_k R^k / (N^m (1 + N R)^m); the state enters only through R,
-    the fluctuation cancels against the normalization.
-    """
-    if r < 0.0:
-        raise ValueError("ratio must be non-negative")
-    q = forward_equal_coefficients(nat, m)
-    num = 0.0
-    for k in range(m, -1, -1):
-        num = num * r + float(q[k])
-    return num / (float(nat) ** m * (1.0 + nat * r) ** m)
-
-
-def deviation_coh_forward_ratio(nat: int, m: int, r: float) -> float:
-    """Spin-coherence deviation at k = 0: g|_(R=0) - g(R), exactly.
-
-    The constant term cancels analytically, so the difference is evaluated
-    from integer coefficients with no catastrophic cancellation even at
-    R ~ 1e-12.
-    """
-    if r < 0.0:
-        raise ValueError("ratio must be non-negative")
-    q = forward_equal_coefficients(nat, m)
-    b = [q[0] * math.comb(m, k) * nat**k - q[k] for k in range(1, m + 1)]
-    num = 0.0
-    for k in range(m, 0, -1):
-        num = num * r + float(b[k - 1])
-    num *= r
-    return num / (float(nat) ** m * (1.0 + nat * r) ** m)
-
-
-def _forward_unequal_c2(nat: int, m: int, n: int) -> list[int]:
-    """Combinatorial weights of the m > n forward sum, j = 0..n."""
-    out = []
-    for j in range(n + 1):
-        val = (
-            math.comb(m, j)
-            * math.comb(n, j)
-            * math.factorial(j)
-            * math.factorial(2 * n - j)
-            * math.comb(nat, 2 * n - j)
-            * math.factorial(m - n)
-            * math.comb(nat - (2 * n - j), m - n)
-        )
-        out.append(val)
-    return out
-
-
-def forward_unequal_coefficients(nat: int, m: int, n: int) -> list[int]:
-    """u_k with G = <s+>^(m-n) f^n sum_k u_k R^k for m > n; exact integers."""
-    if m <= n:
-        raise ValueError("requires m > n")
-    c2 = _forward_unequal_c2(nat, m, n)
-    return [sum(c2[j] * math.comb(j, n - k) for j in range(n + 1)) for k in range(n + 1)]
-
-
-def forward_G_unequal(state: SingleAtomState, nat: int, m: int, n: int) -> complex:
-    """G^(m,n)(0,...,0) for m != n via the single-j binomial sum."""
-    if m == n:
-        raise ValueError("use forward_G_equal for m == n")
-    return _forward_unequal(nat, m, n, state.fluctuation, state.coherence)
-
-
-def _forward_unequal(nat: int, m: int, n: int, f: float, c: complex) -> complex:
-    """The m != n forward sum from f and c = <s->; m < n is the conjugate of n, m."""
-    if m < n:
-        return _forward_unequal(nat, n, m, f, c).conjugate()
-    c2 = _forward_unequal_c2(nat, m, n)
-    cp = c.conjugate()
-    cm = c
-    total = 0.0 + 0.0j
-    for j in range(n + 1):
-        inner = 0.0 + 0.0j
-        for l in range(j + 1):
-            inner += math.comb(j, l) * f**l * cp ** (m - l) * cm ** (n - l)
-        total += c2[j] * inner
-    return total
-
-
-def forward_g_unequal_ratio_abs(nat: int, m: int, n: int, r: float) -> float:
-    """|g^(m,n)(0,...,0)| as a function of (N, m, n, R) only; m != n.
-
-    |g| = R^(|m-n|/2) sum_k u_k R^k / (N (1 + N R))^((m+n)/2).
-    """
-    if m == n:
-        raise ValueError("use forward_g_equal_ratio for m == n")
-    if r < 0.0:
-        raise ValueError("ratio must be non-negative")
-    hi, lo = max(m, n), min(m, n)
-    u = forward_unequal_coefficients(nat, hi, lo)
-    num = 0.0
-    for k in range(lo, -1, -1):
-        num = num * r + float(u[k])
-    half = 0.5 * (m + n)
-    return r ** (0.5 * (hi - lo)) * num / ((nat * (1.0 + nat * r)) ** half)
-
-
-def forward_intensity(state: SingleAtomState, nat: int) -> float:
-    """G^(1)(0, 0) = N p + N (N - 1) |c|^2 = N f (1 + N R)."""
-    c2 = abs(state.coherence) ** 2
-    return nat * state.population + nat * (nat - 1) * c2
+    return AutocorrelationSums(n=nat, abs_s2=nat**2, pairs=pairs)
 
 
 @contextmanager
@@ -549,32 +408,186 @@ def closed_form_range(nat: int, m: int):
         ) from None
 
 
-def correlate_forward(state: SingleAtomState, nat: int, order: CorrelationOrder):
-    """CorrelationResult with every k = 0 from the closed forms, which need only N.
+@dataclass(frozen=True)
+class SingleK:
+    """Two-level atoms with every slot of the row at one k: its order and power sums.
 
-    The sums run on the moments in units of s = max(f, |c|^2), like
-    ``SlotTable.g``, so faint states do not underflow.
+    With w the moment table in units of s, j atoms carrying a minus and a plus
+    slot and F_(m-j, n-j) counting those that carry one,
+
+        G / s^((m+n)/2) = m! n! sum_j w11^j w10^(m-j) w01^(n-j) C(N - (m+n-2j), j) F_(m-j, n-j).
+
+    Terms with no room for the j common atoms vanish, so max(m, n) > N gives 0.
     """
-    root, f, c2 = state.scaled_powers()
-    with closed_form_range(nat, order.x):
-        if order.equal_order:
-            scaled = complex(_forward_equal(nat, order.m, f + c2, c2))
-        else:
-            scaled = _forward_unequal(nat, order.m, order.n, f, state.coherence / root)
-        ints = [nat * (f + c2) + nat * (nat - 1) * c2] * order.total
-        value = normalize(scaled, ints)
-    return CorrelationResult(
-        raw=scaled * root**order.total, value=value, method="forward-closed-form",
-        order=order, directions=np.zeros((order.total, 3)),
-    )
+
+    order: CorrelationOrder
+    sums: AutocorrelationSums
+    method: str = "power-sum"
+
+    @property
+    def n(self) -> int:
+        return self.sums.n
+
+    @functools.cached_property
+    def terms(self) -> list:
+        """m! n! C(N - (m+n-2j), j) F_(m-j, n-j), j = 0..min(m, n); integers at k = 0."""
+        m, n, x = self.order.m, self.order.n, self.order.x
+        if x > self.sums.m_max:
+            raise ValueError(f"order {x} outside 1..{self.sums.m_max} of the power-sum table")
+        fact = math.factorial(m) * math.factorial(n)
+        return [
+            fact * binomial(self.n - (m + n - 2 * j), j) * self.sums.pairs[m - j][n - j]
+            for j in range(min(m, n) + 1)
+        ]
+
+    def scaled_G(self, w) -> complex:
+        """G / s^((m+n)/2) from the moment table w; past the float range, a CapacityError."""
+        m, n = self.order.m, self.order.n
+        (_, w01), (w10, w11) = w
+        with closed_form_range(self.n, self.order.x):
+            scaled = complex(sum(
+                t * w11**j * w10 ** (m - j) * w01 ** (n - j) for j, t in enumerate(self.terms)
+            ))
+            if not cmath.isfinite(scaled):
+                raise OverflowError
+        return scaled
+
+    def intensities(self, u: float, v: float) -> list[float]:
+        """u N + v |S(k)|^2 for every slot, from the powers u = f/s and v = |c|^2/s."""
+        return [u * self.n + v * self.sums.abs_s2] * self.order.total
+
+    def G(self, state: SingleAtomState) -> complex:
+        root = state.scaled_powers()[0]
+        return self.scaled_G(state.moment_table(1, 1).tolist()) * root**self.order.total
+
+    def g(self, state: SingleAtomState) -> tuple[complex, complex]:
+        """(G, g), with g from quantities in units of s, like ``SlotTable.g``."""
+        root, u, v = state.scaled_powers()
+        scaled = self.scaled_G(state.moment_table(1, 1).tolist())
+        return scaled * root**self.order.total, normalize(scaled, self.intensities(u, v))
+
+
+@functools.lru_cache(maxsize=256)
+def forward_row(nat: int, m: int, n: int) -> SingleK:
+    """The k = 0 row of order (m, n) on N atoms, built once."""
+    order = CorrelationOrder(m, n)
+    return SingleK(order, forward_sums(nat, order.x), method="forward-closed-form")
+
+
+def row_geometry(ensemble: Ensemble, order: CorrelationOrder, directions) -> SingleK | SlotTable:
+    """The cheapest exact geometry of one row, chosen from its direction vectors.
+
+    Every k = 0 gives ``forward_row``, which reads only ``ensemble.n``, so an
+    ensemble built on demand stays unbuilt.  Every slot at one k gives its
+    power sums, anything else the slot table; both are capped like the engine.
+    """
+    dirs = _as_directions(directions, order.total)
+    if not np.any(dirs):
+        return forward_row(ensemble.n, order.m, order.n)
+    if (dirs == dirs[0]).all():
+        _check_cap(order)
+        return SingleK(order, autocorrelation_sums(ensemble, dirs[0], order.x))
+    return slot_table(ensemble, order, dirs)
 
 
 def correlate(
     state: SingleAtomState, ensemble: Ensemble, order: CorrelationOrder, directions
 ) -> CorrelationResult:
-    """Raw plus normalized g: closed forms when every k is 0, else the engine."""
-    dirs = _as_directions(directions, order.total)
-    if not np.any(dirs):
-        return correlate_forward(state, ensemble.n, order)
-    raw, value = slot_table(ensemble, order, dirs).g(state)
-    return CorrelationResult(raw, value, method="multilinear", order=order, directions=dirs)
+    """Raw plus normalized g on the geometry ``row_geometry`` picks."""
+    geometry = row_geometry(ensemble, order, directions)
+    raw, value = geometry.g(state)
+    return CorrelationResult(raw, value, method=geometry.method)
+
+
+def deviation_coh_autocorrelation(
+    state: SingleAtomState, sums: AutocorrelationSums, m: int
+) -> float:
+    """Spin-coherence deviation g(c = 0) - g of g^(m)(k,...,k) from power sums.
+
+    In units of s = max(f, |c|^2), u = f/s and v = |c|^2/s, the slot intensity
+    is u N + v |S(k)|^2 = (u + v) N + v F_1 with F_1 = |S(k)|^2 - N, and the
+    coherence-zeroed g is (m!)^2 C(N, m) / N^m.  Expanding C(N, m) ((u + v) +
+    v F_1/N)^m against G removes the t = 0 term symbolically:
+
+        delta = (m!)^2 sum_(t>=1) (u+v)^(m-t) v^t [C(N,m) C(m,t) (F_1/N)^t
+                - C(N-2t, m-t) F_t] / (u N + v |S(k)|^2)^m ,
+
+    where the t = 1 bracket is exactly C(N-2, m-2) F_1.  No two O(1) values
+    are subtracted, so the relative error stays at rounding level as R -> 0;
+    m > N gives exactly 0.
+    """
+    _, u, v = state.scaled_powers()
+    return _deviation_coh(sums, m, u, v)
+
+
+def _deviation_coh(sums: AutocorrelationSums, m: int, u: float, v: float) -> float:
+    if not 1 <= m <= sums.m_max:
+        raise ValueError(f"order {m} outside 1..{sums.m_max} of the power-sum table")
+    nat = sums.n
+    denom = u * nat + v * sums.abs_s2
+    if not denom > 0.0:
+        raise ZeroIntensityError(
+            "cannot normalize against zero single-direction intensity "
+            "(dark state or empty ensemble)"
+        )
+    if m > nat:
+        return 0.0
+    f1 = sums.pairs[1][1].real
+    a = u + v
+    total = a ** (m - 1) * v * binomial(nat - 2, m - 2) * f1
+    for t in range(2, m + 1):
+        bracket = (
+            math.comb(nat, m) * math.comb(m, t) * (f1 / nat) ** t
+            - binomial(nat - 2 * t, m - t) * sums.pairs[t][t].real
+        )
+        total += a ** (m - t) * v**t * bracket
+    return math.factorial(m) ** 2 * total / denom**m
+
+
+# Forward values as functions of N and R alone, for the figures and criteria.
+
+
+def _ratio_moments(r: float):
+    """(w, u, v) in units of s = max(f, |c|^2) at coherence ratio R, c real."""
+    if r < 0.0:
+        raise ValueError("ratio must be non-negative")
+    u, v = (1.0, r) if r <= 1.0 else (1.0 / r, 1.0)
+    return [[1.0, math.sqrt(v)], [math.sqrt(v), u + v]], u, v
+
+
+def _forward_ratio_g(nat: int, m: int, n: int, r: float) -> complex:
+    """g^(m,n)(0,...,0) at coherence ratio R with real coherence."""
+    w, u, v = _ratio_moments(r)
+    row = forward_row(nat, m, n)
+    return normalize(row.scaled_G(w), row.intensities(u, v))
+
+
+def forward_G_equal(state: SingleAtomState, nat: int, m: int) -> float:
+    """G^(m)(0,...,0)."""
+    if m < 1 or nat < 1:
+        raise ValueError("orders and atom counts must be positive")
+    return forward_row(nat, m, m).G(state).real
+
+
+def forward_g_equal_ratio(nat: int, m: int, r: float) -> float:
+    """g^(m)(0,...,0); the fluctuation cancels against the normalization."""
+    return _forward_ratio_g(nat, m, m, r).real
+
+
+def forward_g_unequal_ratio_abs(nat: int, m: int, n: int, r: float) -> float:
+    """|g^(m,n)(0,...,0)| for m != n."""
+    if m == n:
+        raise ValueError("use forward_g_equal_ratio for m == n")
+    return abs(_forward_ratio_g(nat, m, n, r))
+
+
+def deviation_coh_forward_ratio(nat: int, m: int, r: float) -> float:
+    """g|_(R=0) - g(R) at k = 0, free of cancellation even at R ~ 1e-12."""
+    _, u, v = _ratio_moments(r)
+    with closed_form_range(nat, m):
+        return _deviation_coh(forward_row(nat, m, m).sums, m, u, v)
+
+
+def forward_intensity(state: SingleAtomState, nat: int) -> float:
+    """G^(1)(0, 0) = N p + N (N - 1) |c|^2 = N f (1 + N R)."""
+    return forward_row(nat, 1, 1).G(state).real

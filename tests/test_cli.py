@@ -1,6 +1,7 @@
 """Config validation, sweep runners, CSV contracts, CLI exit codes."""
 
 import csv
+import itertools
 import json
 import math
 
@@ -164,15 +165,23 @@ class TestRunners:
 
         calls = []
 
-        def counting_cloud(*args, **kwargs):
-            calls.append(args)
-            return random_cloud(*args, **kwargs)
+        def counting_cloud(n, *args, **kwargs):
+            calls.append(n)
+            assert n <= 10**6, "a forward row must not build its cloud"
+            return random_cloud(n, *args, **kwargs)
 
         monkeypatch.setattr(figures, "random_cloud", counting_cloud)
         cfg = ScenarioConfig.from_dict(dict(BASE, sweep={"n_grid": [10, 20000]}))
         table, _ = run_correlate(cfg)
         assert calls == []
         assert table.column("method") == ["forward-closed-form"] * 2
+        # a forward deviation row at N = 10^9 would need a 22 GiB cloud
+        big = dict(BASE, ensemble={"n": 10**9, "seed": 1}, state={"kind": "pulse", "theta": 1.0})
+        table, _ = run_deviation(ScenarioConfig.from_dict(big))
+        assert calls == []
+        assert table.column("status") == ["ok"]
+        (delta_n,) = table.column("delta_n_re")
+        assert delta_n == pytest.approx(2e-9, rel=1e-12)
         off_axis = dict(BASE, directions={"preset": "off-axis"}, sweep={"n_grid": [10]})
         run_correlate(ScenarioConfig.from_dict(off_axis))
         assert len(calls) == 1
@@ -205,6 +214,22 @@ class TestRunners:
         )
         table, _ = run_conditions(cfg)
         assert "m > N" in table.column("note")[0]
+
+    @pytest.mark.parametrize("m, n, flagged", [(3, 1, False), (3, 3, True)])
+    def test_conditions_order_above_atom_count(self, tmp_path, m, n, flagged):
+        # g = 0 exactly: m = n misses g_GMT = m!, m != n matches g_GMT = 0
+        cfg = write_config(
+            tmp_path,
+            {"order": {"m": m, "n": n}, "ensemble": {"n": 2}, "sweep": {"r_grid": [0.01]}},
+        )
+        out = tmp_path / "conditions.csv"
+        assert main(["conditions", "--config", str(cfg), "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert row["note"] == "g=0 short-circuit: m > N"
+        assert row["flagged"] == ("true" if flagged else "false")
+        margins = [c for c in row if c.endswith(("_lhs", "_rhs", "_ratio"))]
+        assert len(margins) == 12
+        assert all(row[c] == "" for c in margins)
 
     def test_unequal_condition_rhs(self):
         cfg = ScenarioConfig.from_dict(
@@ -380,9 +405,14 @@ class TestCliProcess:
                 dict(BASE, ensemble={"n": 10**9, "seed": 1}, order={"m": 20, "n": 20},
                      state={"kind": "pulse", "theta": 1.0}),
             ),
+            (
+                ["deviation"],
+                dict(BASE, ensemble={"n": 10**9, "seed": 1}, order={"m": 20, "n": 20},
+                     state={"kind": "pulse", "theta": 1.0}),
+            ),
             (["figure", "fig2"], {"m_values": [40]}),
         ],
-        ids=["correlate", "fig2"],
+        ids=["correlate", "deviation", "fig2"],
     )
     def test_closed_form_out_of_float_range_exit_3(self, tmp_path, capsys, argv, payload):
         cfg = write_config(tmp_path, payload)
@@ -391,6 +421,81 @@ class TestCliProcess:
         err = capsys.readouterr().err
         assert "float range" in err
         assert ("N = 1000000000, m = 20" in err) or ("N = 10000, m = 40" in err)
+
+    def test_conditions_huge_order_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"order": {"m": 200, "n": 200}, "ensemble": {"n": 100_000}})
+        out = tmp_path / "out.csv"
+        assert main(["conditions", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "N = 100000, m = 200 leaves the float range" in capsys.readouterr().err
+
+    def test_forward_correlate_more_slots_than_atoms(self, tmp_path):
+        # m + n > N puts a minus and a plus slot on one atom; the oracle agrees
+        cfg = write_config(
+            tmp_path,
+            dict(BASE, state={"kind": "pulse", "theta": 1.2}, ensemble={"n": 3},
+                 order={"m": 3, "n": 2}),
+        )
+        out = tmp_path / "out.csv"
+        assert main(["correlate", "--config", str(cfg), "--out", str(out), "--validate"]) == 0
+        (row,) = read_csv(out)
+        assert row["method"] == "forward-closed-form"
+        assert float(row["g_im"]) == pytest.approx(0.2222111162938118, rel=1e-12)
+        assert abs(float(row["g_re"])) <= 1e-15
+        assert float(row["rel_discrepancy"]) <= 1e-12
+
+    def test_smoke_matrix_exits_cleanly(self, tmp_path):
+        # every command, preset, small N and order gives rows or a documented code
+        failures = []
+        cfg_path, out = tmp_path / "smoke.json", str(tmp_path / "smoke.csv")
+        rng = np.random.default_rng(0)
+        orders = [(m, n) for m in range(4) for n in range(4) if m + n]
+        for (m, n), preset, nat in itertools.product(
+            orders, ("forward", "off-axis", "explicit"), (1, 2, 3, 4)
+        ):
+            directions = (
+                {"vectors": rng.normal(size=(m + n, 3)).tolist()}
+                if preset == "explicit" else {"preset": preset}
+            )
+            commands = ["correlate", "deviation", "conditions"]
+            if preset != "explicit":
+                commands.append("classical")
+            for command in commands:
+                state = (
+                    {"kind": "classical", "e_incoh": 1.0, "e_coh_re": 0.3}
+                    if command == "classical" else {"kind": "pulse", "theta": 1.2}
+                )
+                cfg_path.write_text(json.dumps({
+                    "state": state, "ensemble": {"n": nat, "seed": 1},
+                    "order": {"m": m, "n": n}, "directions": directions,
+                }))
+                code = main([command, "--config", str(cfg_path), "--out", out])
+                if code not in (0, 2, 3):
+                    failures.append((command, preset, nat, m, n, code))
+        assert failures == []
+
+    @pytest.mark.parametrize("preset", ["forward", "off-axis", "explicit"])
+    @pytest.mark.parametrize("command", ["correlate", "deviation", "classical", "conditions"])
+    def test_csv_identical_across_threads(self, tmp_path, command, preset):
+        order = {"m": 2, "n": 1} if command == "classical" else {"m": 2, "n": 2}
+        total = order["m"] + order["n"]
+        directions = (
+            {"vectors": np.random.default_rng(5).normal(size=(total, 3)).tolist()}
+            if preset == "explicit" else {"preset": preset}
+        )
+        payload = dict(
+            BASE, order=order, directions=directions, realizations=3,
+            sweep={"n_grid": [3, 40], "r_grid": [1e-6, 1e-2, 3.0]},
+        )
+        if command == "classical":
+            payload.update(state={"kind": "classical", "e_incoh": 1.0}, samples=300)
+        cfg = write_config(tmp_path, payload)
+        texts = []
+        for threads in (1, 2):
+            out = tmp_path / f"{command}-{threads}.csv"
+            argv = [command, "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
+            assert main(argv) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
     def test_fig4_unknown_order_exit_2(self, tmp_path, capsys):
         overrides = write_config(tmp_path, {"orders": [[4, 1]]}, name="fig4.json")

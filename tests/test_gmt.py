@@ -1,5 +1,6 @@
 """GMT predictions, deviation decomposition, conditions, and series."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,14 +12,15 @@ from photonstat.ensemble import (
     forward_directions,
     off_axis_direction,
     random_cloud,
+    structure_factor,
 )
 from photonstat.gmt import (
     check_conditions,
     classical_taylor_forward,
     crossover_ratio,
     deviation,
-    deviation_N_closed_form,
     deviation_coh_autocorrelation,
+    deviation_on,
     gmt_predict,
     leading_unequal,
     taylor_forward_equal,
@@ -30,8 +32,44 @@ from photonstat.quantum import (
     deviation_coh_forward_ratio,
     forward_g_equal_ratio,
     g1_function,
+    slot_table,
 )
 from photonstat.states import pulse_area_for_ratio, pulse_state, state_from_moments
+
+
+def deviation_N_closed_form(ensemble, order, directions) -> complex:
+    """The paper's finite-size deviation from structure factors, m in {2, 3}: the
+    reference the general deviation path is held to.
+
+    delta^(2)_N = (2/N^2) S(k1 + k2 - k3 - k4);
+    delta^(3)_N = (1/(2 N^3)) sum_(s,s') S(k_s(1) - k_(3+s'(1)))
+                  S(k_s(2) + k_s(3) - k_(3+s'(2)) - k_(3+s'(3)))
+                  - (12/N^3) S(k1 + k2 + k3 - k4 - k5 - k6),
+    with the overall sign matching delta = g_GMT - g_exact.
+    """
+    if not order.equal_order or order.m not in (2, 3):
+        raise ValueError("closed form available for m = n in {2, 3} only")
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    nat = ensemble.n
+    m = order.m
+    if m == 2:
+        return (2.0 / nat**2) * structure_factor(
+            ensemble, dirs[0] + dirs[1] - dirs[2] - dirs[3]
+        )
+    total = 0.0 + 0.0j
+    for sig in itertools.permutations(range(3)):
+        for sigp in itertools.permutations(range(3)):
+            single = structure_factor(ensemble, dirs[sig[0]] - dirs[3 + sigp[0]])
+            pair = structure_factor(
+                ensemble,
+                dirs[sig[1]] + dirs[sig[2]] - dirs[3 + sigp[1]] - dirs[3 + sigp[2]],
+            )
+            total += single * pair
+    total /= 2.0 * nat**3
+    total -= (12.0 / nat**3) * structure_factor(
+        ensemble, dirs[0] + dirs[1] + dirs[2] - dirs[3] - dirs[4] - dirs[5]
+    )
+    return total
 
 
 class TestGmtPredict:
@@ -307,7 +345,8 @@ class TestEqualDirectionShortcut:
         st = pulse_state(1.9)
         k = off_axis_direction(1.3)
         fast = deviation_coh_autocorrelation(st, autocorrelation_sums(ens, k, m), m)
-        rep = deviation(st, ens, CorrelationOrder.equal(m), equal_directions(k, 2 * m))
+        slots = slot_table(ens, CorrelationOrder.equal(m), equal_directions(k, 2 * m))
+        rep = deviation_on(st, slots)
         assert fast == pytest.approx(rep.delta_coh, rel=1e-9, abs=1e-12)
 
     def test_zeroed_value_is_position_free(self):

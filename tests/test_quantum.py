@@ -13,10 +13,10 @@ from photonstat.quantum import (
     correlate,
     first_order_G,
     forward_G_equal,
-    forward_G_unequal,
     forward_g_equal_ratio,
     forward_g_unequal_ratio_abs,
     forward_intensity,
+    forward_row,
     g1_function,
     intensity,
     multilinear_G,
@@ -157,25 +157,28 @@ class TestForwardClosedForms:
             assert closed == pytest.approx(kernel.real, rel=1e-10)
             assert abs(kernel.imag) <= 1e-10 * abs(kernel.real)
 
-    @pytest.mark.parametrize("nat,m,n", [(6, 2, 1), (12, 3, 1), (12, 3, 2), (30, 2, 1), (9, 1, 0)])
+    @pytest.mark.parametrize(
+        "nat,m,n",
+        [(6, 2, 1), (12, 3, 1), (12, 3, 2), (30, 2, 1), (9, 1, 0), (3, 3, 2), (3, 2, 3), (4, 3, 2)],
+    )
     def test_unequal_matches_multilinear_at_k0(self, nat, m, n):
         ens = random_cloud(nat, seed=nat + m + n)
         for theta in (2.0, 1.0):
             st = pulse_state(theta)
-            closed = forward_G_unequal(st, nat, m, n)
+            closed = forward_row(nat, m, n).G(st)
             kernel = multilinear_G(st, ens, CorrelationOrder(m, n), forward_directions(m + n))
             assert closed == pytest.approx(kernel, rel=1e-10)
 
     def test_unequal_swapped_is_conjugate(self):
         st = pulse_state(1.2)
-        a = forward_G_unequal(st, 8, 3, 1)
-        b = forward_G_unequal(st, 8, 1, 3)
+        a = forward_row(8, 3, 1).G(st)
+        b = forward_row(8, 1, 3).G(st)
         assert b == pytest.approx(a.conjugate(), rel=1e-12)
 
     def test_zero_coherence_kills_unequal(self):
         st = pulse_state(math.pi)
-        assert forward_G_unequal(st, 20, 2, 1) == 0.0
-        assert forward_G_unequal(st, 20, 3, 2) == 0.0
+        assert forward_row(20, 2, 1).G(st) == 0.0
+        assert forward_row(20, 3, 2).G(st) == 0.0
 
     def test_inverted_g2_value(self):
         # only j = m survives at c = 0: g = (m!)^2 C(N,m) / N^m
@@ -206,7 +209,7 @@ class TestForwardClosedForms:
             want = (2 * nat * (nat - 1) * coh + nat**2 * (nat - 1) * coh * r) / (
                 nat * (1 + nat * r)
             ) ** 1.5
-            got = forward_G_unequal(st, nat, 2, 1) / forward_intensity(st, nat) ** 1.5
+            got = forward_row(nat, 2, 1).G(st) / forward_intensity(st, nat) ** 1.5
             assert got == pytest.approx(want, rel=1e-11)
             assert forward_g_unequal_ratio_abs(nat, 2, 1, r) == pytest.approx(
                 abs(want), rel=1e-11
