@@ -1,14 +1,15 @@
-"""Classical-oscillator correlators: closed forms, exact evaluation, Monte Carlo.
+"""Classical-oscillator correlators: exact evaluation and Monte Carlo.
 
 Each emitter radiates a fixed coherent amplitude plus an incoherent amplitude
 with an independent uniform random phase.  Phase averaging turns intensity
-moments into the combinatorial counts C_{j,N}; at arbitrary directions a
-classical model goes through the same ``quantum.SlotTable.g`` as a two-level
-state, with its phase-averaged moment table
-(``ClassicalEmitterModel.moment_table``) in place of the two-level moments
-(a classical oscillator can serve any number of slots).  The closed forms
-and the moment table take the amplitudes over max(|E_coh|, E_incoh), so
-faint models do not underflow.
+moments into the combinatorial counts C_{j,N}.  A classical model goes
+through the same ``quantum.row_geometry`` rows as a two-level state: on one
+k (the forward direction included) ``SingleK`` sums the coherent-plus-thermal
+series in S(k) and C_{j,N}, and at distinct directions ``SlotTable.g`` takes
+its phase-averaged moment table (``ClassicalEmitterModel.moment_table``) in
+place of the two-level moments (a classical oscillator can serve any number
+of slots).  Both take the amplitudes over max(|E_coh|, E_incoh), so faint
+models do not underflow.
 """
 
 from __future__ import annotations
@@ -20,45 +21,13 @@ import numpy as np
 
 from .combinatorics import classical_count_C
 from .ensemble import Ensemble, phase_matrix
-from .errors import ZeroIntensityError
-from .quantum import CorrelationOrder, _as_directions, slot_table
-from .states import ClassicalEmitterModel
-
-
-def classical_intensity(model: ClassicalEmitterModel, nat: int) -> float:
-    """<I(0)> = N |E_incoh|^2 + N^2 |E_coh|^2."""
-    return nat * model.e_incoh**2 + nat**2 * abs(model.e_coh) ** 2
-
-
-def classical_forward_g(model: ClassicalEmitterModel, nat: int, m: int) -> float:
-    """g^(m)(0) = sum_j C(m,j)^2 (N^2 |Ec|^2)^(m-j) |Ei|^(2j) C_{j,N} / <I>^m."""
-    if m < 1 or nat < 1:
-        raise ValueError("orders and atom counts must be positive")
-    model = model.unit()
-    ec2 = abs(model.e_coh) ** 2
-    ei2 = model.e_incoh**2
-    num = 0.0
-    for j in range(m + 1):
-        num += (
-            math.comb(m, j) ** 2
-            * (nat**2 * ec2) ** (m - j)
-            * ei2**j
-            * classical_count_C(j, nat)
-        )
-    denom = classical_intensity(model, nat) ** m
-    if denom == 0.0:
-        raise ZeroIntensityError("classical model emits no light")
-    return num / denom
+from .quantum import CorrelationOrder, _as_directions, forward_row, slot_table
+from .states import ClassicalEmitterModel, classical_model_for_ratio
 
 
 def classical_g_ratio(nat: int, m: int, r: float) -> float:
     """Normalized forward g^(m)(0) as a function of (N, m, R) only."""
-    if r < 0.0:
-        raise ValueError("ratio must be non-negative")
-    num = 0.0
-    for j in range(m + 1):
-        num += math.comb(m, j) ** 2 * (nat**2 * r) ** (m - j) * classical_count_C(j, nat)
-    return num / (float(nat) ** m * (1.0 + nat * r) ** m)
+    return forward_row(nat, m, m).g(classical_model_for_ratio(r))[1].real
 
 
 def classical_deviation_coh_ratio(nat: int, m: int, r: float) -> float:
@@ -77,35 +46,6 @@ def classical_deviation_coh_ratio(nat: int, m: int, r: float) -> float:
         num = num * r + float(b[k - 1])
     num *= r
     return num / (float(nat) ** m * (1.0 + nat * r) ** m)
-
-
-def classical_forward_g_unequal(
-    model: ClassicalEmitterModel, nat: int, m: int, n: int
-) -> complex:
-    """g^(m,n)(0) for m > n >= 0 from the multiset-counting sum.
-
-    Numerator: sum_j C(m,j) C(n,j) (N Ec*)^(m-j) (N Ec)^(n-j) |Ei|^(2j) C_{j,N};
-    normalization divides by <I>^((m+n)/2).
-    """
-    if not m > n >= 0:
-        raise ValueError("requires m > n >= 0")
-    model = model.unit()
-    ec = model.e_coh
-    ei2 = model.e_incoh**2
-    num = 0.0 + 0.0j
-    for j in range(n + 1):
-        num += (
-            math.comb(m, j)
-            * math.comb(n, j)
-            * (nat * ec.conjugate()) ** (m - j)
-            * (nat * ec) ** (n - j)
-            * ei2**j
-            * classical_count_C(j, nat)
-        )
-    denom = classical_intensity(model, nat) ** (0.5 * (m + n))
-    if denom == 0.0:
-        raise ZeroIntensityError("classical model emits no light")
-    return num / denom
 
 
 def classical_exact_G(

@@ -16,12 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classical import (
-    classical_forward_g,
-    classical_forward_g_unequal,
-    classical_intensity,
-    classical_mc_G,
-)
+from .classical import classical_mc_G
 from .config import ResultTable, ScenarioConfig, as_grid, as_int
 from .ensemble import (
     Ensemble,
@@ -42,7 +37,7 @@ from .quantum import (
     forward_g_equal_ratio,
     forward_g_unequal_ratio_abs,
     oracle_g,
-    slot_table,
+    row_geometry,
 )
 from .states import (
     ClassicalEmitterModel,
@@ -166,6 +161,18 @@ def _sweep(cfg: ScenarioConfig, columns, evaluate, threads: int = 1, realization
     return table
 
 
+def _check_emitter_kind(cfg: ScenarioConfig, classical: bool) -> None:
+    """Refuse a state of the other emitter kind before the sweep starts.
+
+    A ``classical`` config without a ``state`` key keeps the default model.
+    """
+    kind = cfg.state.get("kind")
+    if classical and kind != "classical" and "state" in cfg.raw:
+        raise ConfigError("state.kind", f"{kind!r} is not a model of the classical subcommand")
+    if not classical and kind == "classical":
+        raise ConfigError("state.kind", "classical models need the classical subcommand")
+
+
 def _quantum_state_at(cfg: ScenarioConfig, axis: str, value):
     """(state, state_kind, state_param) at one point of the state axis."""
     if axis == "theta":
@@ -174,8 +181,6 @@ def _quantum_state_at(cfg: ScenarioConfig, axis: str, value):
         return driven_steady_state(value), "driven", value
     if axis == "none":
         kind = cfg.state.get("kind", "pulse")
-        if kind == "classical":
-            raise ConfigError("state.kind", "classical models need the classical subcommand")
         return state_from_config(cfg.state), kind, cfg.state.get("theta", cfg.state.get("s"))
     kind = "driven" if cfg.state.get("kind") == "driven" else "pulse"
     return _state_for_ratio(kind, value), kind, value
@@ -216,6 +221,7 @@ def run_correlate(cfg: ScenarioConfig, validate: bool = False, threads: int = 1)
     wherever its tuple guard allows and the summary carries the maximum
     relative discrepancy.
     """
+    _check_emitter_kind(cfg, classical=False)
     order = cfg.order
 
     def evaluate(point: _Point, cells: dict) -> None:
@@ -261,7 +267,8 @@ def _classical_model_at(cfg: ScenarioConfig, axis: str, value) -> ClassicalEmitt
 
 
 def run_classical(cfg: ScenarioConfig, threads: int = 1):
-    """Classical g^(m,n) over the grid, with optional phase-sampling MC."""
+    """Classical g^(m,n) over the grid on ``quantum.row_geometry``, with optional MC."""
+    _check_emitter_kind(cfg, classical=True)
     order = cfg.order
 
     def evaluate(point: _Point, cells: dict) -> None:
@@ -274,23 +281,11 @@ def run_classical(cfg: ScenarioConfig, threads: int = 1):
             seed=cfg.seed, realization=point.real,
         )
         unit = model.unit()  # g is scale-free; the Monte Carlo runs at O(1) amplitudes
-        if not np.any(dirs):
-            with closed_form_range(point.n, order.x):
-                if order.equal_order:
-                    g = complex(classical_forward_g(unit, point.n, order.m))
-                elif order.m > order.n:
-                    g = classical_forward_g_unequal(unit, point.n, order.m, order.n)
-                else:
-                    g = classical_forward_g_unequal(unit, point.n, order.n, order.m).conjugate()
-                norm = classical_intensity(unit, point.n) ** (0.5 * order.total)
-            method = "classical-forward"
-        else:
-            slots = slot_table(point.ensemble, order, dirs)
-            g = slots.g(unit)[1]
-            method = "classical-exact"
-            norm = math.prod(math.sqrt(v) for v in slots.intensities(unit))
-        cells.update(method=method, g_re=g.real, g_im=g.imag, g_abs=abs(g))
+        geometry = row_geometry(point, order, dirs)
+        g = geometry.g(unit)[1]
+        cells.update(method=geometry.method, g_re=g.real, g_im=g.imag, g_abs=abs(g))
         if cfg.samples:
+            norm = math.prod(math.sqrt(v) for v in geometry.intensities(unit))
             mc = classical_mc_G(
                 unit, point.ensemble, order, dirs, samples=cfg.samples, seed=cfg.seed
             )
@@ -314,6 +309,7 @@ DEVIATION_COLUMNS = [
 
 def run_deviation(cfg: ScenarioConfig, threads: int = 1):
     """Deviation decomposition over the grid."""
+    _check_emitter_kind(cfg, classical=False)
     order = cfg.order
 
     def evaluate(point: _Point, cells: dict) -> None:
@@ -350,6 +346,7 @@ CONDITIONS_COLUMNS = [
 
 def run_conditions(cfg: ScenarioConfig, threads: int = 1):
     """Admissibility-condition margins over the sweep."""
+    _check_emitter_kind(cfg, classical=False)
     order = cfg.order
 
     def evaluate(point: _Point, cells: dict) -> None:

@@ -15,14 +15,16 @@ Three exact evaluation paths, trusted against each other:
   cloud and directions (``slot_table``, :mod:`photonstat.kernels`), for
   either emitter.  Cost O(N 2^(m+n)) plus O(3^(m+n)) per emitter; this path
   reaches N = 10^4.
-* ``SingleK.g``: two-level atoms with every slot at one k, from the power
-  sums S(d k), d <= max(m, n), and the pair sums F_(a,b) built from them
-  (``autocorrelation_sums``, O(N max(m, n)) per cloud and direction).  The
-  forward direction is its k = 0 case, where F_(a,b) = C(N, a) C(N - a, b)
-  and |S|^2 = N^2 are exact integers that need no cloud (``forward_sums``).
+* ``SingleK.g``: every slot at one k, from the power sums S(d k),
+  d <= max(m, n), and the pair sums F_(a,b) built from them
+  (``autocorrelation_sums``, O(N max(m, n)) per cloud and direction), for
+  either emitter.  The forward direction is its k = 0 case, where
+  F_(a,b) = C(N, a) C(N - a, b) and |S|^2 = N^2 are exact integers that need
+  no cloud (``forward_sums``).
 
 ``row_geometry`` picks one row's path from its direction vectors;
-``correlate`` and :func:`photonstat.gmt.deviation` go through it.
+``correlate``, :func:`photonstat.gmt.deviation` and the ``classical``
+subcommand go through it.
 
 Raw correlators G carry source-field units^(m+n); ``normalize`` divides by
 the square roots of the m+n single-direction intensities.
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .combinatorics import DEFAULT_ORDER_CAP, binomial
+from .combinatorics import DEFAULT_ORDER_CAP, binomial, classical_count_C
 from .ensemble import Ensemble, phase_matrix, structure_factor
 from .errors import CapacityError, ZeroIntensityError
 from .states import Emitter, SingleAtomState
@@ -235,8 +237,26 @@ def oracle_g(emitter: Emitter, ensemble: Ensemble, order: CorrelationOrder, dire
     return normalize(_oracle_sum(emitter, ensemble, order, dirs, ORACLE_TUPLE_GUARD), ints)
 
 
+class _RowGeometry:
+    """G and g of either emitter from a row's ``_scaled_G`` and ``intensities``."""
+
+    def G(self, emitter: Emitter) -> complex:
+        """G of a two-level state or a classical model."""
+        return self._scaled_G(emitter) * emitter.scaled_powers()[0] ** self.order.total
+
+    def g(self, emitter: Emitter) -> tuple[complex, complex]:
+        """(G, g) of a two-level state or a classical model.
+
+        g comes from G and the intensities in units of s: g does not change,
+        and faint emitters do not underflow to 0 / 0.
+        """
+        scaled = self._scaled_G(emitter)
+        root = emitter.scaled_powers()[0]
+        return scaled * root**self.order.total, normalize(scaled, self.intensities(emitter))
+
+
 @dataclass(frozen=True)
-class SlotTable:
+class SlotTable(_RowGeometry):
     """Structure factors S(K_T) of one cloud for every subset T of the slots.
 
     Minus slot i adds +k_i to K_T and plus slot j adds -k_j: ``values[0]`` is
@@ -262,24 +282,10 @@ class SlotTable:
             emitter.moment_table(order.m, order.n), self.values, order.m
         )
 
-    def G(self, emitter: Emitter) -> complex:
-        """G of a two-level state or a classical model."""
-        return self._scaled_G(emitter) * emitter.scaled_powers()[0] ** self.order.total
-
     def intensities(self, emitter: Emitter) -> list[float]:
         """f N + |c|^2 |S(k_i)|^2 for every slot i, in units of s."""
         _, f, c2 = emitter.scaled_powers()
         return [f * self.n + c2 * abs(self.values[1 << i]) ** 2 for i in range(self.order.total)]
-
-    def g(self, emitter: Emitter) -> tuple[complex, complex]:
-        """(G, g) of a two-level state or a classical model.
-
-        g comes from G and the intensities in units of s: g does not change,
-        and faint emitters do not underflow to 0 / 0.
-        """
-        scaled = self._scaled_G(emitter)
-        root = emitter.scaled_powers()[0]
-        return scaled * root**self.order.total, normalize(scaled, self.intensities(emitter))
 
     def g1(self, state: SingleAtomState):
         """g^(1)(k_i, k_j) of minus slot i and plus slot j, as a callable (i, j)."""
@@ -409,15 +415,20 @@ def closed_form_range(nat: int, m: int):
 
 
 @dataclass(frozen=True)
-class SingleK:
-    """Two-level atoms with every slot of the row at one k: its order and power sums.
+class SingleK(_RowGeometry):
+    """Every slot of the row at one k: its order and power sums, for either emitter.
 
-    With w the moment table in units of s, j atoms carrying a minus and a plus
-    slot and F_(m-j, n-j) counting those that carry one,
+    Two-level atoms, with w the moment table in units of s, j atoms carrying
+    a minus and a plus slot and F_(m-j, n-j) counting those that carry one:
 
         G / s^((m+n)/2) = m! n! sum_j w11^j w10^(m-j) w01^(n-j) C(N - (m+n-2j), j) F_(m-j, n-j).
 
     Terms with no room for the j common atoms vanish, so max(m, n) > N gives 0.
+    A classical slot field is E_coh* S(k) plus a random-phasor sum whose law
+    the positions do not change; with S = F_(1,0) and the incoherent power
+    u = w11 - w10 w01 = |E_incoh|^2 / s,
+
+        G / s^((m+n)/2) = sum_j C(m,j) C(n,j) C_{j,N} u^j (w10 S)^(m-j) (w01 conj(S))^(n-j).
     """
 
     order: CorrelationOrder
@@ -440,31 +451,40 @@ class SingleK:
             for j in range(min(m, n) + 1)
         ]
 
+    def _sum(self, terms) -> complex:
+        """The sum of ``terms``; past the float range, a CapacityError."""
+        with closed_form_range(self.n, self.order.x):
+            total = complex(sum(terms))
+            if not cmath.isfinite(total):
+                raise OverflowError
+        return total
+
     def scaled_G(self, w) -> complex:
-        """G / s^((m+n)/2) from the moment table w; past the float range, a CapacityError."""
+        """Two-level G / s^((m+n)/2) from the moment table w."""
         m, n = self.order.m, self.order.n
         (_, w01), (w10, w11) = w
-        with closed_form_range(self.n, self.order.x):
-            scaled = complex(sum(
-                t * w11**j * w10 ** (m - j) * w01 ** (n - j) for j, t in enumerate(self.terms)
-            ))
-            if not cmath.isfinite(scaled):
-                raise OverflowError
-        return scaled
+        return self._sum(
+            t * w11**j * w10 ** (m - j) * w01 ** (n - j) for j, t in enumerate(self.terms)
+        )
 
-    def intensities(self, u: float, v: float) -> list[float]:
-        """u N + v |S(k)|^2 for every slot, from the powers u = f/s and v = |c|^2/s."""
+    def _scaled_G(self, emitter: Emitter) -> complex:
+        """G / s^((m+n)/2) of either emitter, chosen by its type."""
+        w = emitter.moment_table(1, 1).tolist()
+        if isinstance(emitter, SingleAtomState):
+            return self.scaled_G(w)
+        m, n = self.order.m, self.order.n
+        (_, w01), (w10, _) = w
+        u, s = emitter.scaled_powers()[1], self.sums.pairs[1][0]
+        return self._sum(
+            math.comb(m, j) * math.comb(n, j) * classical_count_C(j, self.n) * u**j
+            * (w10 * s) ** (m - j) * (w01 * s.conjugate()) ** (n - j)
+            for j in range(min(m, n) + 1)
+        )
+
+    def intensities(self, emitter: Emitter) -> list[float]:
+        """u N + v |S(k)|^2 for every slot, from the powers u, v in units of s."""
+        _, u, v = emitter.scaled_powers()
         return [u * self.n + v * self.sums.abs_s2] * self.order.total
-
-    def G(self, state: SingleAtomState) -> complex:
-        root = state.scaled_powers()[0]
-        return self.scaled_G(state.moment_table(1, 1).tolist()) * root**self.order.total
-
-    def g(self, state: SingleAtomState) -> tuple[complex, complex]:
-        """(G, g), with g from quantities in units of s, like ``SlotTable.g``."""
-        root, u, v = state.scaled_powers()
-        scaled = self.scaled_G(state.moment_table(1, 1).tolist())
-        return scaled * root**self.order.total, normalize(scaled, self.intensities(u, v))
 
 
 @functools.lru_cache(maxsize=256)
@@ -558,8 +578,7 @@ def _ratio_moments(r: float):
 def _forward_ratio_g(nat: int, m: int, n: int, r: float) -> complex:
     """g^(m,n)(0,...,0) at coherence ratio R with real coherence."""
     w, u, v = _ratio_moments(r)
-    row = forward_row(nat, m, n)
-    return normalize(row.scaled_G(w), row.intensities(u, v))
+    return normalize(forward_row(nat, m, n).scaled_G(w), [u * nat + v * nat**2] * (m + n))
 
 
 def forward_G_equal(state: SingleAtomState, nat: int, m: int) -> float:

@@ -1,4 +1,4 @@
-"""Classical-oscillator correlators: moments, closed forms, exact path, MC."""
+"""Classical-oscillator correlators: moments, one-k rows, exact path, MC."""
 
 import math
 
@@ -8,15 +8,35 @@ import pytest
 from photonstat.classical import (
     classical_deviation_coh_ratio,
     classical_exact_G,
-    classical_forward_g,
-    classical_forward_g_unequal,
     classical_g_ratio,
-    classical_intensity,
     classical_mc_G,
 )
-from photonstat.ensemble import forward_directions, random_cloud, structure_factor
-from photonstat.quantum import CorrelationOrder, normalize
+from photonstat.ensemble import (
+    equal_directions,
+    forward_directions,
+    off_axis_direction,
+    random_cloud,
+    structure_factor,
+)
+from photonstat.quantum import (
+    CorrelationOrder,
+    SingleK,
+    forward_row,
+    oracle_G,
+    row_geometry,
+    slot_table,
+)
 from photonstat.states import ClassicalEmitterModel, classical_model_for_ratio
+
+
+def forward_g(model, nat, m, n):
+    """Normalized forward g^(m,n) of a classical model on the k = 0 row."""
+    return forward_row(nat, m, n).g(model)[1]
+
+
+def forward_intensity(model, nat):
+    """<I(0)> = N |E_incoh|^2 + N^2 |E_coh|^2, the forward (1, 1) row's G."""
+    return forward_row(nat, 1, 1).G(model).real
 
 
 def phase_average_oracle(model, a, b, n_grid=256):
@@ -54,17 +74,19 @@ class TestClassicalMoments:
 
 
 class TestForwardClosedForms:
+    """Forward closed forms, evaluated on the k = 0 row of ``SingleK``."""
+
     def test_incoherent_g2(self):
         model = ClassicalEmitterModel(e_coh=0.0, e_incoh=1.0)
         for nat in (2, 5, 30):
-            assert classical_forward_g(model, nat, 2) == pytest.approx(
+            assert forward_g(model, nat, 2, 2) == pytest.approx(
                 2.0 - 1.0 / nat, rel=1e-12
             )
 
     def test_g1_is_one(self):
         model = classical_model_for_ratio(0.7)
         for nat in (1, 4, 100):
-            assert classical_forward_g(model, nat, 1) == pytest.approx(1.0, rel=1e-12)
+            assert forward_g(model, nat, 1, 1) == pytest.approx(1.0, rel=1e-12)
 
     def test_large_n_taylor(self):
         # m! + (1/2) m! m (m-1) R - (1/4) m! m (m-1) N^2 R^2, up to the dropped
@@ -77,7 +99,7 @@ class TestForwardClosedForms:
                 series = (
                     math.factorial(m) + 0.5 * fact * r - 0.25 * fact * nat**2 * r**2
                 )
-                got = classical_forward_g(model, nat, m)
+                got = forward_g(model, nat, m, m).real
                 budget = 0.5 * fact / nat + 10 * math.factorial(m) * nat**3 * r**3
                 assert abs(got - series) <= budget
 
@@ -86,17 +108,17 @@ class TestForwardClosedForms:
             for r in (0.0, 1e-3, 0.5, 4.0):
                 model = classical_model_for_ratio(r, e_incoh=2.0)
                 assert classical_g_ratio(nat, 2, r) == pytest.approx(
-                    classical_forward_g(model, nat, 2), rel=1e-11
+                    forward_g(model, nat, 2, 2), rel=1e-11
                 )
 
     def test_unequal_zero_coherence(self):
         model = ClassicalEmitterModel(e_coh=0.0, e_incoh=1.0)
-        assert classical_forward_g_unequal(model, 10, 2, 1) == 0.0
+        assert forward_g(model, 10, 2, 1) == 0.0
 
     def test_unequal_leading_magnitude(self):
         # |g^(2,1)(0)| ~ 2 sqrt(N) sqrt(R)
         model = classical_model_for_ratio(1e-6)
-        val = abs(classical_forward_g_unequal(model, 100, 2, 1))
+        val = abs(forward_g(model, 100, 2, 1))
         assert val == pytest.approx(2e-2, rel=0.15)
 
     def test_unequal_appendix_form(self):
@@ -106,7 +128,7 @@ class TestForwardClosedForms:
             r = model.ratio
             coh = np.conj(model.e_coh) / model.e_incoh
             want = (2 * nat**2 + nat**3 * r) * coh / (nat * (1 + nat * r)) ** 1.5
-            got = classical_forward_g_unequal(model, nat, 2, 1)
+            got = forward_g(model, nat, 2, 1)
             assert got == pytest.approx(want, rel=1e-11)
 
     def test_deviation_ratio_matches_direct_difference(self):
@@ -116,6 +138,41 @@ class TestForwardClosedForms:
             assert classical_deviation_coh_ratio(nat, m, r) == pytest.approx(
                 direct, rel=1e-9
             )
+
+
+class TestSingleK:
+    """Classical rows with every slot at one k, on the power-sum path."""
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 1), (1, 2), (3, 1), (2, 0)])
+    @pytest.mark.parametrize("k", [(0.0, 0.0, 0.0), (0.8, -0.3, 0.5)], ids=["forward", "off-axis"])
+    def test_matches_oracle(self, m, n, k):
+        model = ClassicalEmitterModel(e_coh=0.6 - 0.3j, e_incoh=0.9)
+        for nat in (1, 2, 3, 4):
+            ens = random_cloud(nat, seed=nat)
+            dirs = equal_directions(k, m + n)
+            geometry = row_geometry(ens, CorrelationOrder(m, n), dirs)
+            assert isinstance(geometry, SingleK)
+            want = oracle_G(model, ens, CorrelationOrder(m, n), dirs)
+            assert geometry.G(model) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 1), (3, 3), (1, 3)])
+    @pytest.mark.parametrize("r", [1e-8, 1e4])
+    def test_matches_slot_table_on_large_cloud(self, m, n, r):
+        ens = random_cloud(2000, seed=17)
+        dirs = equal_directions(off_axis_direction(0.4), m + n)
+        order = CorrelationOrder(m, n)
+        model = ClassicalEmitterModel(e_coh=math.sqrt(r) * (0.6 + 0.8j), e_incoh=1.0)
+        geometry = row_geometry(ens, order, dirs)
+        assert geometry.method == "power-sum"
+        want = slot_table(ens, order, dirs).G(model)
+        assert geometry.G(model) == pytest.approx(want, rel=1e-12)
+
+    def test_more_slots_than_emitters(self):
+        # a classical oscillator serves any number of slots: g^(3)(0) on one
+        # emitter is C_{3,1} = 1 at R = 0, not the two-level structural zero
+        model = ClassicalEmitterModel(e_coh=0.0, e_incoh=1.0)
+        assert forward_g(model, 1, 3, 3) == pytest.approx(1.0, rel=1e-15)
+        assert forward_g(classical_model_for_ratio(0.5), 1, 3, 3) != 0.0
 
 
 class TestExactPath:
@@ -130,17 +187,15 @@ class TestExactPath:
         model = classical_model_for_ratio(0.2, e_incoh=1.4)
         ens = random_cloud(nat, seed=nat)
         order = CorrelationOrder.equal(m)
-        raw = classical_exact_G(model, ens, order, forward_directions(2 * m))
-        g = normalize(raw, [classical_intensity(model, nat)] * 2 * m)
-        assert g == pytest.approx(classical_forward_g(model, nat, m), rel=1e-10)
+        g = slot_table(ens, order, forward_directions(2 * m)).g(model)[1]
+        assert g == pytest.approx(forward_g(model, nat, m, m), rel=1e-10)
 
     @pytest.mark.parametrize("nat,m,n", [(8, 2, 1), (15, 3, 1), (12, 3, 2)])
     def test_k0_unequal_reduces_to_forward(self, nat, m, n):
         model = ClassicalEmitterModel(e_coh=0.3 + 0.4j, e_incoh=1.0)
         ens = random_cloud(nat, seed=nat + m)
-        raw = classical_exact_G(model, ens, CorrelationOrder(m, n), forward_directions(m + n))
-        g = normalize(raw, [classical_intensity(model, nat)] * (m + n))
-        assert g == pytest.approx(classical_forward_g_unequal(model, nat, m, n), rel=1e-10)
+        g = slot_table(ens, CorrelationOrder(m, n), forward_directions(m + n)).g(model)[1]
+        assert g == pytest.approx(forward_g(model, nat, m, n), rel=1e-10)
 
     def test_global_phase_invariance_of_magnitude(self):
         ens = random_cloud(10, seed=3)
@@ -185,8 +240,8 @@ class TestMonteCarlo:
             model, ens, CorrelationOrder.equal(2), forward_directions(4),
             samples=1_000_000, seed=11,
         )
-        g = mc.estimate / classical_intensity(model, nat) ** 2
-        se = mc.std_error / classical_intensity(model, nat) ** 2
+        g = mc.estimate / forward_intensity(model, nat) ** 2
+        se = mc.std_error / forward_intensity(model, nat) ** 2
         assert abs(g - (2.0 - 1.0 / nat)) <= 3.0 * se
 
     def test_sample_bookkeeping(self):

@@ -456,10 +456,7 @@ class TestCliProcess:
                 {"vectors": rng.normal(size=(m + n, 3)).tolist()}
                 if preset == "explicit" else {"preset": preset}
             )
-            commands = ["correlate", "deviation", "conditions"]
-            if preset != "explicit":
-                commands.append("classical")
-            for command in commands:
+            for command in ("correlate", "deviation", "conditions", "classical"):
                 state = (
                     {"kind": "classical", "e_incoh": 1.0, "e_coh_re": 0.3}
                     if command == "classical" else {"kind": "pulse", "theta": 1.2}
@@ -574,8 +571,29 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("command", ["correlate", "deviation", "conditions"])
     def test_classical_state_in_quantum_command_exit_2(self, tmp_path, command):
-        cfg = write_config(tmp_path, dict(BASE, state={"kind": "classical", "e_incoh": 1.0}))
-        assert main([command, "--config", str(cfg)]) == 2
+        # on every state axis: a sweep must not swap in a two-level state
+        state = {"kind": "classical", "e_incoh": 1.0}
+        for sweep in ({}, {"r_grid": [0.1]}, {"theta_grid": [1.2]}, {"s_grid": [0.5]}):
+            cfg = write_config(tmp_path, dict(BASE, state=state, sweep=sweep))
+            assert main([command, "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "state", [{"kind": "pulse", "theta": 1.2}, {"kind": "driven", "s": 0.5}]
+    )
+    def test_quantum_state_in_classical_command_exit_2(self, tmp_path, capsys, state):
+        for sweep in ({}, {"r_grid": [0.1]}, {"theta_grid": [1.2]}, {"s_grid": [0.5]}):
+            cfg = write_config(tmp_path, dict(BASE, state=state, sweep=sweep))
+            assert main(["classical", "--config", str(cfg)]) == 2
+        assert "state.kind" in capsys.readouterr().err
+
+    def test_classical_without_state_uses_default_model(self, tmp_path):
+        payload = {k: v for k, v in BASE.items() if k != "state"}
+        cfg = write_config(tmp_path, dict(payload, sweep={"r_grid": [0.0, 0.5]}))
+        out = tmp_path / "cl.csv"
+        assert main(["classical", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [float(row["e_incoh"]) for row in rows] == [1.0, 1.0]
+        assert float(rows[0]["g_re"]) == pytest.approx(2.0 - 1.0 / 4, rel=1e-12)
 
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(BASE, directions={"preset": "off-axis"}))
