@@ -3,12 +3,15 @@
 Computes correlation functions g^(m,n) of arbitrary order for product-state
 ensembles, their Gaussian-moment-theorem predictions, the finite-size and
 spin-coherence deviations between the two, and the admissibility conditions
-that decide when the light is effectively thermal.  The counting primitives
-(:mod:`photonstat.combinatorics`) and the series forms
-(:mod:`photonstat.gmt`) are reached through their modules.
+that decide when the light is effectively thermal.  Every G, g, slot
+intensity and pair factor g^(1) comes from one row geometry, picked by
+``row_geometry`` (or built at any directions by ``slot_table``) for two-level
+states and classical models alike; ``oracle_G`` is the brute-force reference.
+The counting primitives (:mod:`photonstat.combinatorics`) and the series
+forms (:mod:`photonstat.gmt`) are reached through their modules.
 """
 
-from .classical import classical_exact_G, classical_mc_G
+from .classical import classical_mc_G
 from .ensemble import Ensemble, random_cloud, structure_factor
 from .errors import (
     CapacityError,
@@ -17,12 +20,11 @@ from .errors import (
     ValidationFailure,
     ZeroIntensityError,
 )
-from .gmt import DeviationReport, check_conditions, deviation, gmt_predict
+from .gmt import DeviationReport, check_conditions, deviation
 from .quantum import (
     CorrelationOrder,
     CorrelationResult,
     correlate,
-    multilinear_G,
     normalize,
     oracle_G,
     row_geometry,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .combinatorics import classical_count_C
 from .ensemble import Ensemble, phase_matrix
-from .quantum import CorrelationOrder, _as_directions, forward_row, slot_table
+from .quantum import CorrelationOrder, _as_directions, forward_row
 from .states import ClassicalEmitterModel, classical_model_for_ratio
 
 
@@ -46,13 +46,6 @@ def classical_deviation_coh_ratio(nat: int, m: int, r: float) -> float:
         num = num * r + float(b[k - 1])
     num *= r
     return num / (float(nat) ** m * (1.0 + nat * r) ** m)
-
-
-def classical_exact_G(
-    model: ClassicalEmitterModel, ensemble: Ensemble, order: CorrelationOrder, directions
-) -> complex:
-    """Exact phase-averaged G at arbitrary directions via the cumulant engine."""
-    return slot_table(ensemble, order, directions).G(model)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,18 @@
 """Exact counting primitives behind the closed-form correlators.
 
 Everything here is integer arithmetic (Python ints, hence arbitrary
-precision): permutation-induced pair partitions, integer partitions,
-Stirling numbers of the first kind, falling factorials, and the
-phase-cancellation count for classical oscillators.  Conversion to floating
-point happens only inside the correlator normalizations, never here.
+precision): integer partitions, Stirling numbers of the first kind, falling
+factorials, and the phase-cancellation count for classical oscillators.
+Conversion to floating point happens only inside the correlator
+normalizations, never here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
-
-from .errors import CapacityError
 
 DEFAULT_ORDER_CAP = 8
 
@@ -68,45 +65,6 @@ class IntegerPartition:
             f"{k + 1}^{r}" for k, r in enumerate(self.multiplicities) if r > 0
         )
         return f"({inner})" if inner else "()"
-
-
-@dataclass(frozen=True)
-class PairPartition:
-    """A perfect matching of slots {1..m} against slots {m+1..2m}.
-
-    Each pair is (i, j) with i a minus-frequency slot and j the plus-frequency
-    slot matched to it; the matching is induced by a permutation of the
-    plus-slot block.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        m = len(self.pairs)
-        firsts = [p[0] for p in self.pairs]
-        seconds = sorted(p[1] for p in self.pairs)
-        if firsts != list(range(1, m + 1)):
-            raise ValueError("first elements must be 1..m in order")
-        if len(set(seconds)) != m:
-            raise ValueError("second elements must be distinct")
-
-
-def enumerate_pair_partitions(m: int) -> Iterator[PairPartition]:
-    """All m! pairings of {1..m} with the plus slots m+1..2m, in lexicographic order.
-
-    ``m == 0`` yields nothing; ``m > DEFAULT_ORDER_CAP`` raises
-    :class:`CapacityError` since the output grows factorially.
-    """
-    if m < 0:
-        raise ValueError("order m must be non-negative")
-    if m == 0:
-        return
-    if m > DEFAULT_ORDER_CAP:
-        raise CapacityError(
-            f"pair-partition enumeration capped at m <= {DEFAULT_ORDER_CAP}, got {m}"
-        )
-    for perm in itertools.permutations(range(m + 1, 2 * m + 1)):
-        yield PairPartition(tuple((i + 1, perm[i]) for i in range(m)))
 
 
 def enumerate_integer_partitions(j: int) -> Iterator[IntegerPartition]:

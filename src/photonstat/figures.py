@@ -26,7 +26,7 @@ from .ensemble import (
     random_cloud,
 )
 from .errors import ConfigError, ZeroIntensityError
-from .gmt import LEADING_UNEQUAL, check_conditions, crossover_ratio, deviation, leading_unequal
+from .gmt import check_conditions, crossover_ratio, deviation, leading_unequal
 from .quantum import (
     CorrelationOrder,
     autocorrelation_sums,
@@ -457,19 +457,23 @@ def _figure_params(figure_id: str, overrides: dict | None, realizations) -> dict
         if key in params:
             params[key] = as_int(params[key], key)
     if "orders" in params:
-        params["orders"] = [_tabulated_order(v) for v in params["orders"]]
+        if not isinstance(params["orders"], (list, tuple)) or not params["orders"]:
+            raise ConfigError("orders", "must be a non-empty list")
+        params["orders"] = [_unequal_order(v) for v in params["orders"]]
     params["r_inv_grid"] = as_grid(params["r_inv_grid"], "r_inv_grid")
     if not all(v > 0.0 for v in params["r_inv_grid"]):
         raise ConfigError("r_inv_grid", "entries must be > 0")
     return params
 
 
-def _tabulated_order(value) -> tuple[int, int]:
-    """An [m, n] entry of fig4's ``orders`` with a tabulated leading term."""
-    for key in LEADING_UNEQUAL:
-        if isinstance(value, (list, tuple)) and list(value) == list(key):
-            return key
-    raise ConfigError("orders", f"entries must be among {sorted(LEADING_UNEQUAL)}, got {value!r}")
+def _unequal_order(value) -> tuple[int, int]:
+    """An [m, n] entry of fig4's ``orders``: integers m, n >= 0 with m != n."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError("orders", f"entries must be [m, n] pairs, got {value!r}")
+    m, n = (as_int(v, "orders", minimum=0) for v in value)
+    if m == n:
+        raise ConfigError("orders", f"entries need m != n, got {value!r}")
+    return m, n
 
 
 def run_figure(
@@ -505,16 +509,17 @@ def run_figure(
         )
         for m in params["m_values"]:
             fact = math.factorial(m) * m * (m - 1)
-            for r_inv in params["r_inv_grid"]:
-                r = 1.0 / r_inv
-                table.append(
-                    m=m, n_atoms=nat, r_inv=r_inv, ratio=r,
-                    delta_coh_abs=abs(deviation_coh_forward_ratio(nat, m, r)),
-                    linear_term=fact * r,
-                    quadratic_term=0.25 * fact * nat**2 * r**2,
-                    crossover_ratio=crossover_ratio(nat),
-                    method="forward-closed-form",
-                )
+            with closed_form_range(nat, m):
+                for r_inv in params["r_inv_grid"]:
+                    r = 1.0 / r_inv
+                    table.append(
+                        m=m, n_atoms=nat, r_inv=r_inv, ratio=r,
+                        delta_coh_abs=abs(deviation_coh_forward_ratio(nat, m, r)),
+                        linear_term=fact * r,
+                        quadratic_term=0.25 * fact * nat**2 * r**2,
+                        crossover_ratio=crossover_ratio(nat),
+                        method="forward-closed-form",
+                    )
         return table, {"figure": figure_id}
 
     if figure_id == "fig3":
@@ -556,12 +561,17 @@ def run_figure(
         ]
     )
     for m, n in params["orders"]:
-        for r_inv in params["r_inv_grid"]:
-            r = 1.0 / r_inv
-            table.append(
-                m=m, n=n, n_atoms=nat, r_inv=r_inv, ratio=r,
-                g_abs=forward_g_unequal_ratio_abs(nat, m, n, r),
-                leading_pred=leading_unequal(nat, r, CorrelationOrder(m, n)),
-                sqrt_r=math.sqrt(r), r=r, method="forward-closed-form",
-            )
+        order = CorrelationOrder(m, n)
+        with closed_form_range(nat, order.x):
+            for r_inv in params["r_inv_grid"]:
+                r = 1.0 / r_inv
+                # the leading term first: where it leaves the float range, the
+                # order stops before it builds its power sums
+                leading = leading_unequal(nat, r, order)
+                table.append(
+                    m=m, n=n, n_atoms=nat, r_inv=r_inv, ratio=r,
+                    g_abs=forward_g_unequal_ratio_abs(nat, m, n, r),
+                    leading_pred=leading,
+                    sqrt_r=math.sqrt(r), r=r, method="forward-closed-form",
+                )
     return table, {"figure": figure_id}

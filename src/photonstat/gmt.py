@@ -13,12 +13,13 @@ delta_g^(2) = +2/N.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import enumerate_pair_partitions, falling_factorial
+from .combinatorics import falling_factorial
 from .ensemble import Ensemble, structure_factor
 from .quantum import (
     CorrelationOrder,
@@ -87,25 +88,19 @@ class DeviationReport:
     conditions: ConditionReport
 
 
-def gmt_predict(order: CorrelationOrder, directions, g1) -> complex:
-    """Pair-partition sum of g^(1) products; zero when m != n.
-
-    ``g1`` is any callable (k_i, k_j) -> complex, typically
-    :func:`photonstat.quantum.g1_function`.
-    """
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    return _pair_partition_sum(order, lambda i, j: g1(dirs[i], dirs[j]))
-
-
 def _pair_partition_sum(order: CorrelationOrder, g1) -> complex:
-    """sum over pairings of prod g1(i, j), i a minus and j a plus slot index."""
+    """sum over the m! pairings of prod g1(i, j), i a minus and j a plus slot index.
+
+    Each pairing is a permutation of the plus slots m..2m-1, in lexicographic
+    order.
+    """
     if not order.equal_order:
         return 0.0 + 0.0j
     total = 0.0 + 0.0j
-    for partition in enumerate_pair_partitions(order.m):
+    for plus in itertools.permutations(range(order.m, 2 * order.m)):
         term = 1.0 + 0.0j
-        for i, j in partition.pairs:
-            term *= g1(i - 1, j - 1)
+        for i, j in enumerate(plus):
+            term *= g1(i, j)
         total += term
     return total
 
@@ -297,16 +292,16 @@ def taylor_offaxis_coh(ensemble: Ensemble, m: int, k, r: float) -> OffAxisSeries
     )
 
 
-LEADING_UNEQUAL = {
-    (2, 1): lambda nat, r: 2.0 * math.sqrt(nat * r),
-    (3, 1): lambda nat, r: 3.0 * nat * r,
-    (3, 2): lambda nat, r: 6.0 * math.sqrt(nat * r),
-}
-
-
 def leading_unequal(nat: int, r: float, order: CorrelationOrder) -> float:
-    """Leading magnitude of |g^(m,n)(0)|: 2 sqrt(NR), 3 NR, 6 sqrt(NR)."""
-    key = (order.m, order.n)
-    if key not in LEADING_UNEQUAL:
-        raise ValueError(f"no tabulated leading term for order {key}")
-    return LEADING_UNEQUAL[key](nat, r)
+    """Leading magnitude of |g^(m,n)(0)| for m != n: x!/(x-y)! (NR)^((x-y)/2).
+
+    x = max(m, n) and y = min(m, n); the exact |g| carries a further
+    N^(x)/N^x (falling factorial) and 1 + O(NR).  The whole powers of NR are
+    taken as integer powers, so (2,1), (3,1) and (3,2) give 2 sqrt(NR), 3 NR
+    and 6 sqrt(NR) bit for bit.
+    """
+    x, y = order.x, min(order.m, order.n)
+    if x == y:
+        raise ValueError("the leading unequal-order term needs m != n")
+    h = (x - y) // 2
+    return math.perm(x, y) * nat**h * r**h * (math.sqrt(nat * r) if (x - y) % 2 else 1.0)

@@ -94,24 +94,6 @@ def _as_directions(directions, n_slots: int) -> np.ndarray:
     return arr
 
 
-def first_order_G(state: SingleAtomState, ensemble: Ensemble, k1, k2) -> complex:
-    """G^(1)(k1, k2) = f S(k1 - k2) + |c|^2 S(k1) S(-k2)."""
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    f = state.fluctuation
-    c2 = abs(state.coherence) ** 2
-    val = f * structure_factor(ensemble, k1 - k2)
-    if c2 > 0.0:
-        val += c2 * structure_factor(ensemble, k1) * structure_factor(ensemble, k2).conjugate()
-    return complex(val)
-
-
-def intensity(state: SingleAtomState, ensemble: Ensemble, k) -> float:
-    """G^(1)(k, k), which is real: f N + |c|^2 |S(k)|^2."""
-    c2 = abs(state.coherence) ** 2
-    return state.fluctuation * ensemble.n + c2 * abs(structure_factor(ensemble, k)) ** 2
-
-
 def normalize(raw: complex, intensities) -> complex:
     """g = G / prod_j sqrt(G^(1)(k_j, k_j))."""
     denom = 1.0
@@ -123,18 +105,6 @@ def normalize(raw: complex, intensities) -> complex:
             )
         denom *= math.sqrt(val)
     return complex(raw) / denom
-
-
-def g1_function(state: SingleAtomState, ensemble: Ensemble):
-    """Normalized first-order correlator g^(1)(ki, kj) as a callable."""
-
-    def g1(ki, kj) -> complex:
-        raw = first_order_G(state, ensemble, ki, kj)
-        return normalize(
-            raw, (intensity(state, ensemble, ki), intensity(state, ensemble, kj))
-        )
-
-    return g1
 
 
 class _ChunkedSum:
@@ -172,7 +142,7 @@ def _oracle_sum(
     if nat**order.total > tuple_guard:
         raise CapacityError(
             f"oracle would visit {nat ** order.total} index tuples "
-            f"(guard {tuple_guard}); use multilinear_G"
+            f"(guard {tuple_guard}); use slot_table, the multilinear path"
         )
     ph = phase_matrix(ensemble, dirs)
     minus_ph = [list(ph[:, i]) for i in range(m)]
@@ -310,17 +280,6 @@ def slot_table(ensemble: Ensemble, order: CorrelationOrder, directions) -> SlotT
         ensemble.positions, _as_directions(directions, order.total), order.m
     )
     return SlotTable(order=order, n=ensemble.n, values=values)
-
-
-def multilinear_G(
-    state: SingleAtomState, ensemble: Ensemble, order: CorrelationOrder, directions
-) -> complex:
-    """Exact G from the structure factors of the slot subsets and the cumulants.
-
-    Equivalent to ``oracle_G`` term by term (see :mod:`photonstat.kernels`), at
-    cost O(N 2^(m+n)) instead of O(N^(m+n)); max(m, n) > N gives exactly 0.
-    """
-    return slot_table(ensemble, order, directions).G(state)
 
 
 @dataclass(frozen=True)
@@ -581,13 +540,6 @@ def _forward_ratio_g(nat: int, m: int, n: int, r: float) -> complex:
     return normalize(forward_row(nat, m, n).scaled_G(w), [u * nat + v * nat**2] * (m + n))
 
 
-def forward_G_equal(state: SingleAtomState, nat: int, m: int) -> float:
-    """G^(m)(0,...,0)."""
-    if m < 1 or nat < 1:
-        raise ValueError("orders and atom counts must be positive")
-    return forward_row(nat, m, m).G(state).real
-
-
 def forward_g_equal_ratio(nat: int, m: int, r: float) -> float:
     """g^(m)(0,...,0); the fluctuation cancels against the normalization."""
     return _forward_ratio_g(nat, m, m, r).real
@@ -605,8 +557,3 @@ def deviation_coh_forward_ratio(nat: int, m: int, r: float) -> float:
     _, u, v = _ratio_moments(r)
     with closed_form_range(nat, m):
         return _deviation_coh(forward_row(nat, m, m).sums, m, u, v)
-
-
-def forward_intensity(state: SingleAtomState, nat: int) -> float:
-    """G^(1)(0, 0) = N p + N (N - 1) |c|^2 = N f (1 + N R)."""
-    return forward_row(nat, 1, 1).G(state).real

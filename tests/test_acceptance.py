@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from photonstat.classical import classical_exact_G, classical_g_ratio, classical_mc_G
+from photonstat.classical import classical_g_ratio, classical_mc_G
 from photonstat.combinatorics import (
     classical_count_C,
     configuration_count_B,
@@ -20,20 +20,18 @@ from photonstat.combinatorics import (
     permutation_count_P,
     stirling_first,
 )
-from photonstat.ensemble import forward_directions, random_cloud
+from photonstat.ensemble import forward_directions, random_cloud, structure_factor
 from photonstat.figures import fig3_deviation_matrix, run_figure
 from photonstat.gmt import crossover_ratio
 from photonstat.quantum import (
     CorrelationOrder,
     deviation_coh_forward_ratio,
-    forward_G_equal,
     forward_g_equal_ratio,
     forward_g_unequal_ratio_abs,
-    forward_intensity,
-    intensity,
-    multilinear_G,
+    forward_row,
     normalize,
     oracle_G,
+    slot_table,
 )
 from photonstat.states import ClassicalEmitterModel, pulse_state, state_from_moments
 
@@ -70,11 +68,14 @@ def test_criterion_1_inverted_autocorrelation():
         for nat in range(2, 9):
             ens = random_cloud(nat, seed=nat)
             raw = oracle_G(st, ens, CorrelationOrder.equal(2), forward_directions(4))
-            g = normalize(raw, [intensity(st, ens, np.zeros(3))] * 4)
+            inten = st.fluctuation * nat + abs(st.coherence) ** 2 * abs(
+                structure_factor(ens, np.zeros(3))
+            ) ** 2
+            g = normalize(raw, [inten] * 4)
             want = 2.0 - 2.0 / nat
             assert abs(g - want) <= 1e-10 * want
         big = 10_000
-        g_big = forward_G_equal(st, big, 2) / forward_intensity(st, big) ** 2
+        g_big = forward_row(big, 2, 2).g(st)[1].real
         assert abs(g_big - (2.0 - 2.0 / big)) <= 1e-10 * 2.0
         assert time.perf_counter() - start < 1.0
 
@@ -95,7 +96,7 @@ def test_criterion_2_oracle_equivalence():
             st = random_valid_state(rng)
             dirs = rng.normal(size=(order.total, 3))
             a = oracle_G(st, ens, order, dirs)
-            b = multilinear_G(st, ens, order, dirs)
+            b = slot_table(ens, order, dirs).G(st)
             rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
             worst = max(worst, rel)
         assert worst <= 1e-10, f"worst relative error {worst:.3e}"
@@ -224,7 +225,7 @@ def test_criterion_8_classical_mc_consistency():
             )
             ens = random_cloud(nat, seed=trial)
             dirs = rng.normal(size=(order.total, 3))
-            exact = classical_exact_G(model, ens, order, dirs)
+            exact = slot_table(ens, order, dirs).G(model)
             mc = classical_mc_G(
                 model, ens, order, dirs, samples=100_000, seed=1000 + trial
             )

@@ -11,7 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonstat.combinatorics import binomial
-from photonstat.ensemble import Ensemble, equal_directions, off_axis_direction, random_cloud
+from photonstat.ensemble import (
+    Ensemble,
+    equal_directions,
+    off_axis_direction,
+    random_cloud,
+    structure_factor,
+)
 from photonstat.errors import ZeroIntensityError
 from photonstat.gmt import deviation, deviation_coh_autocorrelation, deviation_on
 from photonstat.quantum import (
@@ -20,8 +26,6 @@ from photonstat.quantum import (
     autocorrelation_sums,
     deviation_coh_forward_ratio,
     forward_row,
-    intensity,
-    multilinear_G,
     oracle_G,
     row_geometry,
     slot_table,
@@ -107,7 +111,9 @@ class TestAgainstOracle:
     def test_deviation_matches_oracle(self, positions, k, state, m):
         ens = Ensemble(positions=positions)
         sums = autocorrelation_sums(ens, k, m)
-        inten = intensity(state, ens, k)
+        inten = state.fluctuation * ens.n + abs(state.coherence) ** 2 * abs(
+            structure_factor(ens, k)
+        ) ** 2
         if not inten > 0.0:
             with pytest.raises(ZeroIntensityError):
                 deviation_coh_autocorrelation(state, sums, m)
@@ -145,7 +151,7 @@ class TestLargeCloud:
         k = off_axis_direction(0.9)
         state = pulse_state(1.7)
         got = SingleK(CorrelationOrder.equal(m), autocorrelation_sums(ens, k, 3)).G(state)
-        want = multilinear_G(state, ens, CorrelationOrder.equal(m), equal_directions(k, 2 * m))
+        want = slot_table(ens, CorrelationOrder.equal(m), equal_directions(k, 2 * m)).G(state)
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (3, 2), (1, 2), (2, 2), (3, 3)])

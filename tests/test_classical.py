@@ -7,7 +7,6 @@ import pytest
 
 from photonstat.classical import (
     classical_deviation_coh_ratio,
-    classical_exact_G,
     classical_g_ratio,
     classical_mc_G,
 )
@@ -179,7 +178,7 @@ class TestExactPath:
     def test_single_atom_intensity(self):
         model = ClassicalEmitterModel(e_coh=0.6 - 0.1j, e_incoh=1.1)
         ens = random_cloud(1, seed=0)
-        raw = classical_exact_G(model, ens, CorrelationOrder(1, 1), forward_directions(2))
+        raw = slot_table(ens, CorrelationOrder(1, 1), forward_directions(2)).G(model)
         assert raw == pytest.approx(abs(model.e_coh) ** 2 + model.e_incoh**2, rel=1e-12)
 
     @pytest.mark.parametrize("nat,m", [(5, 2), (20, 2), (50, 3), (9, 1)])
@@ -201,12 +200,9 @@ class TestExactPath:
         ens = random_cloud(10, seed=3)
         dirs = np.random.default_rng(4).normal(size=(4, 3))
         order = CorrelationOrder.equal(2)
-        a = classical_exact_G(
-            ClassicalEmitterModel(e_coh=0.5, e_incoh=1.0), ens, order, dirs
-        )
-        b = classical_exact_G(
-            ClassicalEmitterModel(e_coh=0.5j, e_incoh=1.0), ens, order, dirs
-        )
+        table = slot_table(ens, order, dirs)
+        a = table.G(ClassicalEmitterModel(e_coh=0.5, e_incoh=1.0))
+        b = table.G(ClassicalEmitterModel(e_coh=0.5j, e_incoh=1.0))
         assert abs(b) == pytest.approx(abs(a), rel=1e-12)
 
 
@@ -216,7 +212,7 @@ class TestMonteCarlo:
         ens = random_cloud(6, seed=1)
         dirs = np.random.default_rng(2).normal(size=(2, 3))
         mc = classical_mc_G(model, ens, CorrelationOrder(1, 1), dirs, samples=1000, seed=3)
-        exact = classical_exact_G(model, ens, CorrelationOrder(1, 1), dirs)
+        exact = slot_table(ens, CorrelationOrder(1, 1), dirs).G(model)
         assert mc.std_error == pytest.approx(0.0, abs=1e-12)
         assert mc.estimate == pytest.approx(exact, rel=1e-12)
 

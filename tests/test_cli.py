@@ -306,9 +306,12 @@ class TestFigures:
             ("fig3", {"r_inv_grid": [0.0]}, "r_inv_grid"),
             ("fig3", {"m_values": [0]}, "m_values"),
             ("fig2", {"n": "many"}, "n"),
-            ("fig4", {"orders": [[4, 1]]}, "orders"),
+            ("fig4", {"orders": [[1, -1]]}, "orders"),
             ("fig4", {"orders": [[2, 2]]}, "orders"),
             ("fig4", {"orders": [2, 1]}, "orders"),
+            ("fig4", {"orders": []}, "orders"),
+            ("fig4", {"orders": [[3, 1, 2]]}, "orders"),
+            ("fig4", {"orders": [["three", 1]]}, "orders"),
         ],
     )
     def test_out_of_range_overrides_rejected(self, figure_id, overrides, field):
@@ -422,6 +425,32 @@ class TestCliProcess:
         assert "float range" in err
         assert ("N = 1000000000, m = 20" in err) or ("N = 10000, m = 40" in err)
 
+    @pytest.mark.parametrize(
+        "figure_id, overrides",
+        [
+            # m > N: delta_coh is exactly 0, but m! m (m - 1) R is no float
+            ("fig2", {"n": 5, "m_values": [171]}),
+            ("fig4", {"orders": [[171, 0]], "r_inv_grid": [1e8]}),
+            ("fig4", {"orders": [[2, 1], [300, 299]], "r_inv_grid": [1e8]}),
+        ],
+        ids=["fig2-m-above-n", "fig4-even-gap", "fig4-odd-gap"],
+    )
+    def test_figure_order_out_of_float_range_exit_3(self, tmp_path, capsys, figure_id, overrides):
+        cfg = write_config(tmp_path, overrides, name=f"{figure_id}.json")
+        out = tmp_path / "out.csv"
+        assert main(["figure", figure_id, "--config", str(cfg), "--out", str(out)]) == 3
+        assert "leaves the float range" in capsys.readouterr().err
+
+    def test_fig4_any_unequal_order(self, tmp_path):
+        orders = [[1, 0], [0, 2], [5, 2], [1, 3]]
+        cfg = write_config(tmp_path, {"orders": orders, "r_inv_grid": [1e8]}, name="fig4.json")
+        out = tmp_path / "fig4.csv"
+        assert main(["figure", "fig4", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [[int(row["m"]), int(row["n"])] for row in rows] == orders
+        for row in rows:
+            assert float(row["g_abs"]) == pytest.approx(float(row["leading_pred"]), rel=0.05)
+
     def test_conditions_huge_order_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"order": {"m": 200, "n": 200}, "ensemble": {"n": 100_000}})
         out = tmp_path / "out.csv"
@@ -495,7 +524,7 @@ class TestCliProcess:
         assert texts[0] == texts[1]
 
     def test_fig4_unknown_order_exit_2(self, tmp_path, capsys):
-        overrides = write_config(tmp_path, {"orders": [[4, 1]]}, name="fig4.json")
+        overrides = write_config(tmp_path, {"orders": [[1, -1]]}, name="fig4.json")
         out = tmp_path / "fig4.csv"
         assert main(["figure", "fig4", "--config", str(overrides), "--out", str(out)]) == 2
         assert "orders" in capsys.readouterr().err

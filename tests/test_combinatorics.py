@@ -10,12 +10,10 @@ from photonstat.combinatorics import (
     classical_count_C,
     configuration_count_B,
     enumerate_integer_partitions,
-    enumerate_pair_partitions,
     falling_factorial,
     permutation_count_P,
     stirling_first,
 )
-from photonstat.errors import CapacityError
 
 
 def brute_force_classical_count(j, n):
@@ -36,33 +34,6 @@ def falling_factorial_poly(m):
         shifted = [0] + coeffs
         coeffs = [s - i * c for s, c in zip(shifted, coeffs + [0])]
     return coeffs
-
-
-class TestPairPartitions:
-    def test_m1_single_pairing(self):
-        parts = list(enumerate_pair_partitions(1))
-        assert parts[0].pairs == ((1, 2),)
-        assert len(parts) == 1
-
-    def test_m2_both_pairings(self):
-        parts = [p.pairs for p in enumerate_pair_partitions(2)]
-        assert parts == [((1, 3), (2, 4)), ((1, 4), (2, 3))]
-
-    def test_m3_count(self):
-        assert len(list(enumerate_pair_partitions(3))) == 6
-
-    def test_m0_empty(self):
-        assert list(enumerate_pair_partitions(0)) == []
-
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_count_and_uniqueness(self, m):
-        parts = [p.pairs for p in enumerate_pair_partitions(m)]
-        assert len(parts) == math.factorial(m)
-        assert len(set(parts)) == len(parts)
-
-    def test_cap(self):
-        with pytest.raises(CapacityError):
-            list(enumerate_pair_partitions(9))
 
 
 class TestIntegerPartitions:

@@ -1,7 +1,7 @@
 """Property tests of the exact general-direction paths against brute-force sums.
 
-``multilinear_G`` is checked against ``oracle_G`` and ``classical_exact_G``
-against a tuple sum written here, on clouds of at most four atoms with
+The slot table's G is checked against ``oracle_G`` for two-level states and
+against a tuple sum written here for classical models, on clouds of at most four atoms with
 coincident atoms, directions mixing zero and nonzero k, and states on the
 positivity bound.
 """
@@ -13,9 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonstat.classical import classical_exact_G
 from photonstat.ensemble import Ensemble
-from photonstat.quantum import CorrelationOrder, multilinear_G, oracle_G, slot_table
+from photonstat.quantum import CorrelationOrder, oracle_G, slot_table
 from photonstat.states import ClassicalEmitterModel, state_from_moments
 
 _coord = st.floats(-3.0, 3.0, allow_nan=False)
@@ -91,7 +90,7 @@ class TestMultilinearAgainstOracle:
         ens = Ensemble(positions=positions)
         order = CorrelationOrder(*order)
         dirs = _directions(data.draw, order.total)
-        got = multilinear_G(state, ens, order, dirs)
+        got = slot_table(ens, order, dirs).G(state)
         if order.x > ens.n:
             assert got == 0j
             return
@@ -104,7 +103,7 @@ class TestMultilinearAgainstOracle:
         ens = Ensemble(positions=positions)
         x, other = ens.n + extra, data.draw(st.integers(0, 8 - ens.n - extra))
         order = CorrelationOrder(*((x, other) if data.draw(st.booleans()) else (other, x)))
-        assert multilinear_G(state, ens, order, _directions(data.draw, order.total)) == 0j
+        assert slot_table(ens, order, _directions(data.draw, order.total)).G(state) == 0j
 
 
 class TestClassicalAgainstTupleSum:
@@ -114,7 +113,7 @@ class TestClassicalAgainstTupleSum:
         ens = Ensemble(positions=positions)
         m, n = order
         dirs = _directions(data.draw, m + n)
-        got = classical_exact_G(model, ens, CorrelationOrder(m, n), dirs)
+        got = slot_table(ens, CorrelationOrder(m, n), dirs).G(model)
         want = classical_tuple_sum(model, ens.positions, m, n, dirs)
         # every tuple's term is at most (|Ec| + Ei)^(m+n) in magnitude
         scale = (ens.n * (abs(model.e_coh) + model.e_incoh)) ** (m + n)

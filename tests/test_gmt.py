@@ -21,7 +21,6 @@ from photonstat.gmt import (
     deviation,
     deviation_coh_autocorrelation,
     deviation_on,
-    gmt_predict,
     leading_unequal,
     taylor_forward_equal,
     taylor_offaxis_coh,
@@ -31,7 +30,7 @@ from photonstat.quantum import (
     autocorrelation_sums,
     deviation_coh_forward_ratio,
     forward_g_equal_ratio,
-    g1_function,
+    forward_g_unequal_ratio_abs,
     slot_table,
 )
 from photonstat.states import pulse_area_for_ratio, pulse_state, state_from_moments
@@ -72,34 +71,65 @@ def deviation_N_closed_form(ensemble, order, directions) -> complex:
     return total
 
 
+def inline_g1(state, ensemble, ki, kj) -> complex:
+    """g^(1)(ki, kj) = [f S(ki - kj) + |c|^2 S(ki) conj(S(kj))] / sqrt(I(ki) I(kj)),
+    with I(k) = f N + |c|^2 |S(k)|^2, straight from the structure factors."""
+    f, c2 = state.fluctuation, abs(state.coherence) ** 2
+    s_i, s_j = structure_factor(ensemble, ki), structure_factor(ensemble, kj)
+    raw = f * structure_factor(ensemble, ki - kj) + c2 * s_i * s_j.conjugate()
+    ints = [f * ensemble.n + c2 * abs(s) ** 2 for s in (s_i, s_j)]
+    return raw / math.sqrt(ints[0] * ints[1])
+
+
+def gmt_on_slot_table(state, ensemble, order, directions) -> complex:
+    """g_GMT of a deviation row on the slot table, the general-direction path."""
+    return deviation_on(state, slot_table(ensemble, order, directions)).g_gmt
+
+
 class TestGmtPredict:
     def test_equal_directions_gives_factorial(self):
         ens = random_cloud(12, seed=0)
         st = pulse_state(1.0)
-        g1 = g1_function(st, ens)
         k = np.array([0.4, 0.1, -0.2])
         for m in (1, 2, 3, 4):
-            got = gmt_predict(CorrelationOrder.equal(m), equal_directions(k, 2 * m), g1)
+            got = gmt_on_slot_table(st, ens, CorrelationOrder.equal(m), equal_directions(k, 2 * m))
             assert got == pytest.approx(math.factorial(m), rel=1e-12)
 
     def test_unequal_order_is_zero(self):
         ens = random_cloud(5, seed=1)
-        g1 = g1_function(pulse_state(1.0), ens)
-        assert gmt_predict(CorrelationOrder(2, 1), np.zeros((3, 3)), g1) == 0.0
+        got = gmt_on_slot_table(pulse_state(1.0), ens, CorrelationOrder(2, 1), np.zeros((3, 3)))
+        assert got == 0.0
 
     def test_two_pairings_explicit(self):
         # k1 = k3, k2 = k4: prediction is 1 + |g1(k1,k2)|^2
         ens = random_cloud(9, seed=2)
         st = pulse_state(2.0)
-        g1 = g1_function(st, ens)
         rng = np.random.default_rng(3)
         k1, k2 = rng.normal(size=3), rng.normal(size=3)
         dirs = np.array([k1, k2, k1, k2])
-        got = gmt_predict(CorrelationOrder.equal(2), dirs, g1)
+        got = gmt_on_slot_table(st, ens, CorrelationOrder.equal(2), dirs)
+
+        def g1(ki, kj):
+            return inline_g1(st, ens, ki, kj)
+
         # independent pair-partition enumeration: (1,3)(2,4) and (1,4)(2,3)
         want = g1(k1, k1) * g1(k2, k2) + g1(k1, k2) * g1(k2, k1)
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(1.0 + abs(g1(k1, k2)) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_brute_force_pairings(self, m):
+        # every pairing of the minus slots 0..m-1 with the plus slots m..2m-1
+        rng = np.random.default_rng(40 + m)
+        ens = random_cloud(11, seed=m)
+        st = state_from_moments(0.6, 0.2 + 0.15j)
+        dirs = rng.normal(size=(2 * m, 3))
+        got = gmt_on_slot_table(st, ens, CorrelationOrder.equal(m), dirs)
+        want = sum(
+            math.prod(inline_g1(st, ens, dirs[i], dirs[j]) for i, j in enumerate(plus))
+            for plus in itertools.permutations(range(m, 2 * m))
+        )
+        assert abs(got - want) <= 1e-12 * math.factorial(m)
 
 
 class TestDeviation:
@@ -334,7 +364,21 @@ class TestLeadingUnequal:
 
     def test_unsupported(self):
         with pytest.raises(ValueError):
-            leading_unequal(100, 1e-6, CorrelationOrder(4, 1))
+            leading_unequal(100, 1e-6, CorrelationOrder(2, 2))
+
+    @pytest.mark.parametrize(
+        "m,n",
+        [(2, 1), (3, 1), (3, 2), (1, 0), (2, 0), (4, 1), (5, 2), (4, 3), (6, 1), (1, 3), (0, 2)],
+    )
+    def test_matches_exact_forward_g(self, m, n):
+        # exact |g| = leading term x N^(x)/N^x x (1 + O(NR)), here at NR = 1e-8
+        nat, r = 10_000, 1e-12
+        x = max(m, n)
+        falling = falling_factorial(nat, x) / nat**x
+        exact = forward_g_unequal_ratio_abs(nat, m, n, r)
+        assert leading_unequal(nat, r, CorrelationOrder(m, n)) == pytest.approx(
+            exact / falling, rel=1e-7
+        )
 
 
 class TestEqualDirectionShortcut:

@@ -5,25 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from photonstat.classical import classical_exact_G
 from photonstat.ensemble import Ensemble, forward_directions, random_cloud, structure_factor
 from photonstat.errors import CapacityError, ZeroIntensityError
 from photonstat.quantum import (
     CorrelationOrder,
     correlate,
-    first_order_G,
-    forward_G_equal,
     forward_g_equal_ratio,
     forward_g_unequal_ratio_abs,
-    forward_intensity,
     forward_row,
-    g1_function,
-    intensity,
-    multilinear_G,
     normalize,
     oracle_G,
+    slot_table,
 )
 from photonstat.states import ClassicalEmitterModel, pulse_state, state_from_moments
+
+
+def forward_intensity(state, ensemble) -> float:
+    """G^(1)(0, 0) = f N + |c|^2 |S(0)|^2, straight from the structure factor."""
+    return state.fluctuation * ensemble.n + abs(state.coherence) ** 2 * abs(
+        structure_factor(ensemble, np.zeros(3))
+    ) ** 2
 
 
 def random_state(rng):
@@ -67,7 +68,7 @@ class TestOracle:
         raw = oracle_G(st, ens, CorrelationOrder.equal(2), forward_directions(4))
         # 3 unordered atom pairs, 2 orderings on each side: 12 unit terms
         assert raw == pytest.approx(12.0, rel=1e-12)
-        g = normalize(raw, [intensity(st, ens, np.zeros(3))] * 4)
+        g = normalize(raw, [forward_intensity(st, ens)] * 4)
         assert g == pytest.approx(2.0 - 2.0 / 3.0, rel=1e-12)
 
     def test_guard(self):
@@ -90,7 +91,7 @@ class TestMultilinear:
         st = random_state(rng)
         dirs = rng.normal(size=(order.total, 3))
         a = oracle_G(st, ens, order, dirs)
-        b = multilinear_G(st, ens, order, dirs)
+        b = slot_table(ens, order, dirs).G(st)
         assert abs(a - b) <= 1e-10 * max(abs(a), 1e-30)
 
     def test_first_order_structure_factor_identity(self):
@@ -100,19 +101,18 @@ class TestMultilinear:
         st = random_state(rng)
         for _ in range(5):
             k1, k2 = rng.normal(size=3), rng.normal(size=3)
-            via_kernel = multilinear_G(st, ens, CorrelationOrder(1, 1), [k1, k2])
+            via_kernel = slot_table(ens, CorrelationOrder(1, 1), [k1, k2]).G(st)
             expected = abs(st.coherence) ** 2 * structure_factor(ens, k1) * structure_factor(
                 ens, k2
             ).conjugate() + st.fluctuation * structure_factor(ens, k1 - k2)
             assert via_kernel == pytest.approx(expected, rel=1e-12)
-            assert first_order_G(st, ens, k1, k2) == pytest.approx(expected, rel=1e-12)
 
     def test_large_n_inverted_autocorrelation(self):
         nat = 10_000
         ens = random_cloud(nat, seed=3)
         st = pulse_state(math.pi)
-        raw = multilinear_G(st, ens, CorrelationOrder.equal(2), forward_directions(4))
-        g = normalize(raw, [intensity(st, ens, np.zeros(3))] * 4)
+        raw = slot_table(ens, CorrelationOrder.equal(2), forward_directions(4)).G(st)
+        g = normalize(raw, [forward_intensity(st, ens)] * 4)
         assert g == pytest.approx(2.0 - 2.0 / nat, rel=1e-10)
 
     def test_direction_count_checked(self):
@@ -123,9 +123,7 @@ class TestMultilinear:
     def test_order_cap(self):
         ens = random_cloud(3, seed=0)
         with pytest.raises(CapacityError):
-            multilinear_G(
-                pulse_state(1.0), ens, CorrelationOrder(5, 4), np.zeros((9, 3))
-            )
+            slot_table(ens, CorrelationOrder(5, 4), np.zeros((9, 3)))
 
     def test_chunking_matches_unchunked(self, monkeypatch):
         import photonstat.kernels as kernels
@@ -136,12 +134,12 @@ class TestMultilinear:
         dirs = rng.normal(size=(4, 3))
         model = ClassicalEmitterModel(e_coh=0.4 - 0.2j, e_incoh=1.0)
         order = CorrelationOrder(2, 1)
-        full = multilinear_G(st, ens, CorrelationOrder.equal(2), dirs)
-        full_classical = classical_exact_G(model, ens, order, dirs[:3])
+        full = slot_table(ens, CorrelationOrder.equal(2), dirs).G(st)
+        full_classical = slot_table(ens, order, dirs[:3]).G(model)
         monkeypatch.setattr(kernels, "_ATOM_CHUNK", 7)
-        chunked = multilinear_G(st, ens, CorrelationOrder.equal(2), dirs)
+        chunked = slot_table(ens, CorrelationOrder.equal(2), dirs).G(st)
         assert chunked == pytest.approx(full, rel=1e-12)
-        chunked_classical = classical_exact_G(model, ens, order, dirs[:3])
+        chunked_classical = slot_table(ens, order, dirs[:3]).G(model)
         assert chunked_classical == pytest.approx(full_classical, rel=1e-12)
 
 
@@ -152,8 +150,8 @@ class TestForwardClosedForms:
         ens = random_cloud(nat, seed=nat)
         for theta in (math.pi, 2.0, 0.8):
             st = pulse_state(theta)
-            closed = forward_G_equal(st, nat, m)
-            kernel = multilinear_G(st, ens, CorrelationOrder.equal(m), forward_directions(2 * m))
+            closed = forward_row(nat, m, m).G(st).real
+            kernel = slot_table(ens, CorrelationOrder.equal(m), forward_directions(2 * m)).G(st)
             assert closed == pytest.approx(kernel.real, rel=1e-10)
             assert abs(kernel.imag) <= 1e-10 * abs(kernel.real)
 
@@ -166,7 +164,7 @@ class TestForwardClosedForms:
         for theta in (2.0, 1.0):
             st = pulse_state(theta)
             closed = forward_row(nat, m, n).G(st)
-            kernel = multilinear_G(st, ens, CorrelationOrder(m, n), forward_directions(m + n))
+            kernel = slot_table(ens, CorrelationOrder(m, n), forward_directions(m + n)).G(st)
             assert closed == pytest.approx(kernel, rel=1e-10)
 
     def test_unequal_swapped_is_conjugate(self):
@@ -183,7 +181,7 @@ class TestForwardClosedForms:
     def test_inverted_g2_value(self):
         # only j = m survives at c = 0: g = (m!)^2 C(N,m) / N^m
         st = pulse_state(math.pi)
-        g = forward_G_equal(st, 4, 2) / forward_intensity(st, 4) ** 2
+        g = forward_row(4, 2, 2).g(st)[1].real
         assert g == pytest.approx(1.5, rel=1e-12)
 
     def test_appendix_g2_closed_form(self):
@@ -197,7 +195,7 @@ class TestForwardClosedForms:
                     + 4 * nat * (nat - 1) ** 2 * r
                     + nat**2 * (nat - 1) ** 2 * r**2
                 ) / (nat**2 * (1 + nat * r) ** 2)
-                got = forward_G_equal(st, nat, 2) / forward_intensity(st, nat) ** 2
+                got = forward_row(nat, 2, 2).g(st)[1].real
                 assert got == pytest.approx(want, rel=1e-11)
                 assert forward_g_equal_ratio(nat, 2, r) == pytest.approx(want, rel=1e-11)
 
@@ -209,7 +207,7 @@ class TestForwardClosedForms:
             want = (2 * nat * (nat - 1) * coh + nat**2 * (nat - 1) * coh * r) / (
                 nat * (1 + nat * r)
             ) ** 1.5
-            got = forward_row(nat, 2, 1).G(st) / forward_intensity(st, nat) ** 1.5
+            got = forward_row(nat, 2, 1).g(st)[1]
             assert got == pytest.approx(want, rel=1e-11)
             assert forward_g_unequal_ratio_abs(nat, 2, 1, r) == pytest.approx(
                 abs(want), rel=1e-11
@@ -233,7 +231,7 @@ class TestNormalize:
     def test_third_order_inverted(self):
         nat = 10_000
         st = pulse_state(math.pi)
-        g = forward_G_equal(st, nat, 3) / forward_intensity(st, nat) ** 3
+        g = forward_row(nat, 3, 3).g(st)[1].real
         want = 6.0 * (1 - 1 / nat) * (1 - 2 / nat)
         assert g == pytest.approx(want, rel=1e-12)
         assert g == pytest.approx(5.9982, abs=1e-3)
@@ -241,7 +239,7 @@ class TestNormalize:
     def test_g_vanishes_beyond_atom_number(self):
         st = pulse_state(math.pi)
         for nat, m in [(2, 3), (3, 4)]:
-            assert forward_G_equal(st, nat, m) == 0.0
+            assert forward_row(nat, m, m).G(st) == 0.0
 
     def test_dark_state_rejected(self):
         st = pulse_state(0.0)
@@ -301,7 +299,8 @@ class TestSymmetries:
         rng = np.random.default_rng(19)
         ens = random_cloud(7, seed=7)
         st = random_state(rng)
-        g1 = g1_function(st, ens)
         k1, k2 = rng.normal(size=3), rng.normal(size=3)
-        assert g1(k1, k1) == pytest.approx(1.0, rel=1e-12)
-        assert g1(k2, k1) == pytest.approx(g1(k1, k2).conjugate(), rel=1e-12)
+        # minus slots 0, 1 and plus slots 2, 3 at k1, k2: g1(i, j) = g^(1)(k_i, k_j)
+        g1 = slot_table(ens, CorrelationOrder.equal(2), [k1, k2, k1, k2]).g1(st)
+        assert g1(0, 2) == pytest.approx(1.0, rel=1e-12)
+        assert g1(1, 2) == pytest.approx(g1(0, 3).conjugate(), rel=1e-12)
