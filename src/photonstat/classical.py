@@ -24,6 +24,9 @@ from .ensemble import Ensemble, phase_matrix
 from .quantum import CorrelationOrder, _as_directions, forward_row
 from .states import ClassicalEmitterModel, classical_model_for_ratio
 
+# Two batches of two: the fewest samples that give a batch-mean standard error.
+MIN_MC_SAMPLES = 4
+
 
 def classical_g_ratio(nat: int, m: int, r: float) -> float:
     """Normalized forward g^(m)(0) as a function of (N, m, R) only."""
@@ -57,6 +60,26 @@ class McEstimate:
     seed: int
 
 
+def _conj_roots(order: CorrelationOrder) -> np.ndarray:
+    """e^(-2 pi i q / L), q < L = m + n + 1: the conjugate phasors the estimator draws."""
+    n_roots = order.total + 1
+    return np.exp(-2j * math.pi * np.arange(n_roots) / n_roots)
+
+
+def _slot_product(zc: np.ndarray, ph: np.ndarray, e_coh: complex, e_incoh: float, m: int):
+    """The slot-field product of each row of conjugate phasors ``zc`` (rows x N).
+
+    With W = zc @ ph and S_i = sum_mu ph[mu, i], minus slot i carries
+    E*(k_i) = Ec* S_i + Ei W[:, i] and plus slot j carries
+    E(k_j) = Ec conj(S_j) + Ei conj(W[:, j]).
+    """
+    w = zc @ ph
+    s = ph.sum(axis=0)
+    minus = e_coh.conjugate() * s[:m] + e_incoh * w[:, :m]
+    plus = e_coh * s[m:].conjugate() + e_incoh * w[:, m:].conjugate()
+    return minus.prod(axis=1) * plus.prod(axis=1)
+
+
 def classical_mc_G(
     model: ClassicalEmitterModel,
     ensemble: Ensemble,
@@ -66,44 +89,44 @@ def classical_mc_G(
     seed: int,
     batches: int = 20,
 ) -> McEstimate:
-    """Monte Carlo G by sampling the per-emitter phases directly.
+    """Monte Carlo G by sampling the per-emitter phases.
 
-    The estimate is the sample mean of the slot-field product; the standard
-    error comes from batch means, so batches can be merged associatively.
+    Each emitter radiates Ec + Ei e^(i phi); phi is drawn uniformly from the
+    L-th roots of unity, phi = 2 pi q / L with L = m + n + 1.  Over these,
+    E[e^(i p phi)] = [p = 0 mod L].  The net phase power of one emitter is in
+    [-m, n] in the slot product and in [-(m+n), m+n] in its squared modulus,
+    so both moments equal those of continuous uniform phases: the mean is G
+    exactly and the standard error is that of continuous phases.  L = m + n
+    would alias powers +-L in the second moment.
+
+    Each batch draws its (size x N) phasors once (``_conj_roots``) and
+    contracts them with the phase matrix in one matrix product
+    (``_slot_product``).  The estimate is
+    the sample mean; the standard error comes from the batch means, so at
+    least ``MIN_MC_SAMPLES`` samples (two batches of two) are needed.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    batches = max(1, min(batches, samples // 2))
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
+    if batches < 2:
+        raise ValueError(f"need at least two batches, got {batches}")
+    batches = min(batches, samples // 2)
     dirs = _as_directions(directions, order.total)
-    m, n = order.m, order.n
     ph = phase_matrix(ensemble, dirs)  # exp(+2 pi i k_j . R_mu)
-    ec = model.e_coh
-    ei = model.e_incoh
+    conj_roots = _conj_roots(order)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     rng = np.random.Generator(np.random.Philox(ss))
 
     sizes = [samples // batches + (1 if b < samples % batches else 0) for b in range(batches)]
     batch_means = np.empty(batches, dtype=complex)
     for b, size in enumerate(sizes):
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(size, ensemble.n)))
-        values = np.ones(size, dtype=complex)
-        # minus slot i carries E*(k_i) = sum_mu e^(+2 pi i k_i.R_mu)(Ec* + Ei e^(-i phi_mu))
-        for i in range(m):
-            values *= (ec.conjugate() + ei * np.conj(phases)) @ ph[:, i]
-        # plus slot j carries E(k_j) = sum_mu e^(-2 pi i k_j.R_mu)(Ec + Ei e^(i phi_mu))
-        for j in range(m, m + n):
-            values *= (ec + ei * phases) @ np.conj(ph[:, j])
-        batch_means[b] = values.mean()
+        zc = conj_roots[rng.integers(0, len(conj_roots), size=(size, ensemble.n))]
+        batch_means[b] = _slot_product(zc, ph, model.e_coh, model.e_incoh, order.m).mean()
     weights = np.asarray(sizes, dtype=float) / samples
     estimate = complex(np.sum(weights * batch_means))
-    if batches == 1:
-        se = 0.0
-    else:
-        dev = batch_means - estimate
-        se = math.sqrt(
-            (np.sum(weights * dev.real**2) + np.sum(weights * dev.imag**2))
-            / (batches - 1)
-        )
+    dev = batch_means - estimate
+    se = math.sqrt(
+        (np.sum(weights * dev.real**2) + np.sum(weights * dev.imag**2)) / (batches - 1)
+    )
     return McEstimate(
         estimate=estimate, std_error=se, samples=samples, batches=batches, seed=seed
     )

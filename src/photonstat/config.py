@@ -20,12 +20,18 @@ from typing import Any
 
 import numpy as np
 
+from .classical import MIN_MC_SAMPLES
 from .errors import ConfigError
 from .quantum import CorrelationOrder
 from .states import classical_model_from_config, state_from_config
 
 
 def as_int(value, path: str, minimum: int = 1) -> int:
+    """An integer >= ``minimum``; integral floats such as 1e4 count, bools do not."""
+    if isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(path, f"expected integer, got {value!r}")
     try:
         out = int(value)
     except (TypeError, ValueError):
@@ -38,6 +44,8 @@ def as_int(value, path: str, minimum: int = 1) -> int:
 def as_grid(value, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise ConfigError(path, "must be a non-empty list")
+    if any(isinstance(v, bool) for v in value):
+        raise ConfigError(path, "entries must be numbers")
     try:
         return [float(v) for v in value]
     except (TypeError, ValueError):
@@ -54,7 +62,7 @@ _STATE_AXIS_RANGES = {
 
 def _resolve_seed(cfg: dict, ens: dict) -> int:
     """``ensemble.seed`` when given, else the top-level ``seed``, else 0."""
-    top = as_int(cfg.get("seed") or 0, "seed", minimum=0)
+    top = 0 if cfg.get("seed") is None else as_int(cfg["seed"], "seed", minimum=0)
     if ens.get("seed") is None:
         return top
     seed = as_int(ens["seed"], "ensemble.seed", minimum=0)
@@ -142,7 +150,14 @@ class ScenarioConfig:
             raise ConfigError("sweep", f"at most one state axis allowed, got {state_axes}")
 
         realizations = as_int(cfg.get("realizations", 1), "realizations")
-        samples = as_int(cfg.get("samples", 0) or 0, "samples", minimum=0)
+        samples = cfg.get("samples")
+        samples = 0 if samples is None else as_int(samples, "samples", minimum=0)
+        if 0 < samples < MIN_MC_SAMPLES:
+            raise ConfigError(
+                "samples",
+                f"must be 0 (no Monte Carlo) or >= {MIN_MC_SAMPLES} for two batches, "
+                f"got {samples}",
+            )
         seed = _resolve_seed(cfg, ens)
 
         return cls(

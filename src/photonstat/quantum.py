@@ -288,17 +288,20 @@ class AutocorrelationSums:
 
     With z_mu = exp(2 pi i k . R_mu): ``abs_s2`` is |S(k)|^2 and ``pairs[a][b]``
     is the disjoint-pair sum F_(a,b) = [x^a y^b] prod_mu (1 + z_mu x + conj(z_mu) y)
-    for a, b <= ``m_max``.  One table serves every order up to m_max and every
-    state.
+    for a, b <= ``m_max``.  A table may stop short of m_max where its entries
+    are 0; ``pair`` reads those as 0.  One table serves every order up to m_max
+    and every state.
     """
 
     n: int
     abs_s2: float
     pairs: tuple[tuple[complex, ...], ...]
+    m_max: int
 
-    @property
-    def m_max(self) -> int:
-        return len(self.pairs) - 1
+    def pair(self, a: int, b: int) -> complex:
+        """F_(a,b); 0 past the stored entries."""
+        row = self.pairs[a] if a < len(self.pairs) else ()
+        return row[b] if b < len(row) else 0
 
 
 def _pair_sums(power_sums, m: int) -> tuple[tuple[complex, ...], ...]:
@@ -349,17 +352,21 @@ def autocorrelation_sums(ensemble: Ensemble, k, m_max: int) -> AutocorrelationSu
         n=ensemble.n,
         abs_s2=abs(power_sums[1]) ** 2,
         pairs=_pair_sums(power_sums, m_max),
+        m_max=m_max,
     )
 
 
 def forward_sums(nat: int, m_max: int) -> AutocorrelationSums:
     """The sums at k = 0, exact integers that need only N: every z_mu = 1, so
-    |S|^2 = N^2 and F_(a,b) = C(N, a) C(N - a, b) counts disjoint atom sets."""
+    |S|^2 = N^2 and F_(a,b) = C(N, a) C(N - a, b) counts disjoint atom sets.
+
+    Only the corner a + b <= N is stored; every other F_(a,b) is 0.
+    """
     pairs = tuple(
-        tuple(binomial(nat, a) * binomial(nat - a, b) for b in range(m_max + 1))
-        for a in range(m_max + 1)
+        tuple(math.comb(nat, a) * math.comb(nat - a, b) for b in range(min(m_max, nat - a) + 1))
+        for a in range(min(m_max, nat) + 1)
     )
-    return AutocorrelationSums(n=nat, abs_s2=nat**2, pairs=pairs)
+    return AutocorrelationSums(n=nat, abs_s2=nat**2, pairs=pairs, m_max=m_max)
 
 
 @contextmanager
@@ -406,7 +413,7 @@ class SingleK(_RowGeometry):
             raise ValueError(f"order {x} outside 1..{self.sums.m_max} of the power-sum table")
         fact = math.factorial(m) * math.factorial(n)
         return [
-            fact * binomial(self.n - (m + n - 2 * j), j) * self.sums.pairs[m - j][n - j]
+            fact * binomial(self.n - (m + n - 2 * j), j) * self.sums.pair(m - j, n - j)
             for j in range(min(m, n) + 1)
         ]
 
@@ -419,11 +426,17 @@ class SingleK(_RowGeometry):
         return total
 
     def scaled_G(self, w) -> complex:
-        """Two-level G / s^((m+n)/2) from the moment table w."""
+        """Two-level G / s^((m+n)/2) from the moment table w.
+
+        Zero terms are skipped, so a structural zero stays 0 even where the
+        powers of w would leave the float range.
+        """
         m, n = self.order.m, self.order.n
         (_, w01), (w10, w11) = w
         return self._sum(
-            t * w11**j * w10 ** (m - j) * w01 ** (n - j) for j, t in enumerate(self.terms)
+            t * w11**j * w10 ** (m - j) * w01 ** (n - j)
+            for j, t in enumerate(self.terms)
+            if t
         )
 
     def _scaled_G(self, emitter: Emitter) -> complex:
@@ -433,7 +446,7 @@ class SingleK(_RowGeometry):
             return self.scaled_G(w)
         m, n = self.order.m, self.order.n
         (_, w01), (w10, _) = w
-        u, s = emitter.scaled_powers()[1], self.sums.pairs[1][0]
+        u, s = emitter.scaled_powers()[1], self.sums.pair(1, 0)
         return self._sum(
             math.comb(m, j) * math.comb(n, j) * classical_count_C(j, self.n) * u**j
             * (w10 * s) ** (m - j) * (w01 * s.conjugate()) ** (n - j)
@@ -511,13 +524,13 @@ def _deviation_coh(sums: AutocorrelationSums, m: int, u: float, v: float) -> flo
         )
     if m > nat:
         return 0.0
-    f1 = sums.pairs[1][1].real
+    f1 = sums.pair(1, 1).real
     a = u + v
     total = a ** (m - 1) * v * binomial(nat - 2, m - 2) * f1
     for t in range(2, m + 1):
         bracket = (
             math.comb(nat, m) * math.comb(m, t) * (f1 / nat) ** t
-            - binomial(nat - 2 * t, m - t) * sums.pairs[t][t].real
+            - binomial(nat - 2 * t, m - t) * sums.pair(t, t).real
         )
         total += a ** (m - t) * v**t * bracket
     return math.factorial(m) ** 2 * total / denom**m

@@ -1,11 +1,14 @@
 """Classical-oscillator correlators: moments, one-k rows, exact path, MC."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from photonstat.classical import (
+    _conj_roots,
+    _slot_product,
     classical_deviation_coh_ratio,
     classical_g_ratio,
     classical_mc_G,
@@ -14,6 +17,7 @@ from photonstat.ensemble import (
     equal_directions,
     forward_directions,
     off_axis_direction,
+    phase_matrix,
     random_cloud,
     structure_factor,
 )
@@ -258,3 +262,35 @@ class TestMonteCarlo:
         b = classical_mc_G(model, ens, CorrelationOrder(2, 1), dirs, samples=5000, seed=13)
         assert a.estimate == b.estimate
         assert a.std_error == b.std_error
+
+
+def conj_roots(n_roots):
+    return np.exp(-2j * math.pi * np.arange(n_roots) / n_roots)
+
+
+def root_moments(model, ens, order, dirs, table):
+    """Exact E[X] and E|X|^2 of the slot product over every tuple of N phasors from ``table``."""
+    q = np.array(list(itertools.product(range(len(table)), repeat=ens.n)))
+    x = _slot_product(table[q], phase_matrix(ens, dirs), model.e_coh, model.e_incoh, order.m)
+    return x.mean(), np.mean(np.abs(x) ** 2)
+
+
+class TestRootsOfUnity:
+    """Phases on the L-th roots of unity, L = m + n + 1, give continuous-phase moments."""
+
+    @pytest.mark.parametrize("nat", [1, 2, 3])
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+    def test_moments_exact(self, m, n, nat):
+        order = CorrelationOrder(m, n)
+        rng = np.random.default_rng(10 * m + n + 100 * nat)
+        model = ClassicalEmitterModel(e_coh=complex(*rng.normal(scale=0.5, size=2)), e_incoh=0.9)
+        ens = random_cloud(nat, seed=nat)
+        dirs = rng.normal(size=(order.total, 3))
+        mean, second = root_moments(model, ens, order, dirs, _conj_roots(order))
+        _, reference = root_moments(model, ens, order, dirs, conj_roots(4 * (m + n) + 1))
+        exact = slot_table(ens, order, dirs).G(model)
+        assert abs(mean - exact) <= 1e-12 * max(1.0, abs(exact))
+        assert abs(second - reference) <= 1e-12 * reference
+        # one root fewer aliases phase powers +-(m + n) in |X|^2
+        _, aliased = root_moments(model, ens, order, dirs, conj_roots(m + n))
+        assert abs(aliased - reference) > 1e-3 * reference

@@ -4,10 +4,14 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import photonstat
 from photonstat.cli import main
 from photonstat.config import ResultTable, ScenarioConfig, format_cell
 from photonstat.ensemble import random_cloud
@@ -87,6 +91,24 @@ class TestScenarioConfig:
     def test_conflicting_seeds_rejected(self):
         with pytest.raises(ConfigError, match="ensemble.seed"):
             ScenarioConfig.from_dict(dict(BASE, seed=2))
+
+    @pytest.mark.parametrize("value", [True, 2.5, float("inf"), float("nan"), "two"])
+    def test_non_integer_counts_rejected(self, value):
+        with pytest.raises(ConfigError, match="realizations: expected integer"):
+            ScenarioConfig.from_dict(dict(BASE, realizations=value))
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [({"seed": False}, "seed"), ({"sweep": {"n_grid": [True, 2]}}, "sweep.n_grid"),
+         ({"sweep": {"r_grid": [True]}}, "sweep.r_grid")],
+    )
+    def test_bools_rejected(self, payload, field):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig.from_dict(dict(BASE, ensemble={"n": 4}, **payload))
+
+    def test_integral_float_counts_accepted(self):
+        cfg = ScenarioConfig.from_dict(dict(BASE, realizations=3.0, samples=1e4))
+        assert (cfg.realizations, cfg.samples) == (3, 10_000)
 
 
 class TestResultTable:
@@ -522,6 +544,71 @@ class TestCliProcess:
             assert main(argv) == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("samples", [1, True, False, 2, 3, 2.5])
+    def test_classical_samples_without_two_batches_exit_2(self, tmp_path, capsys, samples):
+        # fewer than four samples leave no two batches for a standard error
+        payload = dict(BASE, state={"kind": "classical", "e_incoh": 1.0},
+                       directions={"preset": "off-axis"}, samples=samples)
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out.csv"
+        assert main(["classical", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_classical_fewest_samples_give_an_error_bar(self, tmp_path):
+        payload = dict(BASE, state={"kind": "classical", "e_incoh": 1.0},
+                       directions={"preset": "off-axis"}, samples=4.0)
+        out = tmp_path / "out.csv"
+        assert main(["classical", "--config", str(write_config(tmp_path, payload)),
+                     "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert (row["samples"], row["batches"]) == ("4", "2")
+        assert float(row["mc_se"]) > 0.0
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["figure", "fig4"], {"n": 1, "orders": [[1500, 0]]}),
+            (["correlate"], dict(BASE, ensemble={"n": 1}, order={"m": 20000, "n": 0},
+                                 state={"kind": "pulse", "theta": 1.5})),
+            (["correlate"], dict(BASE, ensemble={"n": 1}, order={"m": 20000, "n": 20000},
+                                 state={"kind": "pulse", "theta": 1.5})),
+        ],
+        ids=["fig4", "correlate-m", "correlate-mn"],
+    )
+    def test_forward_order_far_above_atom_count(self, tmp_path, argv, payload):
+        # the pair-sum table stops at a + b <= N, so these rows cost O(N), not O(m^2)
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert rows and all(float(row["g_abs"]) == 0.0 for row in rows)
+
+    def test_classical_mc_identical_across_blas_threads(self, tmp_path):
+        # the matrix product reduces over atoms inside BLAS; its result, and so
+        # every CSV byte, must not depend on the BLAS or sweep thread count
+        vectors = np.random.default_rng(8).normal(size=(4, 3)).tolist()
+        payload = dict(
+            BASE, state={"kind": "classical", "e_incoh": 1.0}, ensemble={"n": 2000},
+            directions={"vectors": vectors}, sweep={"r_grid": [0.05, 2.0]},
+            samples=4000, seed=3,
+        )
+        cfg = write_config(tmp_path, payload)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(photonstat.__file__)))
+        texts = {}
+        for blas, threads in itertools.product(("1", "2"), ("1", "2")):
+            out = tmp_path / f"blas{blas}-threads{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "photonstat.cli", "classical", "--config", str(cfg),
+                 "--threads", threads, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            texts[blas, threads] = out.read_bytes()
+        assert len(set(texts.values())) == 1
+        rows = read_csv(tmp_path / "blas1-threads1.csv")
+        assert all(float(row["mc_se"]) > 0.0 for row in rows)
 
     def test_fig4_unknown_order_exit_2(self, tmp_path, capsys):
         overrides = write_config(tmp_path, {"orders": [[1, -1]]}, name="fig4.json")

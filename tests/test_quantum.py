@@ -13,6 +13,7 @@ from photonstat.quantum import (
     forward_g_equal_ratio,
     forward_g_unequal_ratio_abs,
     forward_row,
+    forward_sums,
     normalize,
     oracle_G,
     slot_table,
@@ -177,6 +178,22 @@ class TestForwardClosedForms:
         st = pulse_state(math.pi)
         assert forward_row(20, 2, 1).G(st) == 0.0
         assert forward_row(20, 3, 2).G(st) == 0.0
+
+    @pytest.mark.parametrize("nat,m_max,entries", [(5, 3, 15), (1, 1500, 3), (2, 2, 6)])
+    def test_forward_sums_store_the_corner(self, nat, m_max, entries):
+        # F_(a,b) = C(N, a) C(N - a, b) is 0 past a + b = N; only the corner is stored
+        sums = forward_sums(nat, m_max)
+        assert sums.m_max == m_max
+        assert sum(len(row) for row in sums.pairs) == entries
+        for a in range(min(m_max, 8) + 1):
+            for b in range(min(m_max, 8) + 1):
+                want = math.comb(nat, a) * math.comb(nat - a, b) if a + b <= nat else 0
+                assert sums.pair(a, b) == want
+
+    def test_structural_zero_past_the_float_range(self):
+        # no term has room on one atom, so G is exactly 0, although w11^j
+        # (w11 = 1.87 in units of s at theta = 1.5) leaves the float range
+        assert forward_row(1, 1200, 1200).g(pulse_state(1.5)) == (0j, 0j)
 
     def test_inverted_g2_value(self):
         # only j = m survives at c = 0: g = (m!)^2 C(N,m) / N^m
